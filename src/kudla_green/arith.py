@@ -37,6 +37,7 @@ __all__ = [
     "divisors",
     "factorize",
     "xi_twisted",
+    "euler_factor",
     "sigma_gamma_m",
     "bernoulli_B2_chi",
     "bernoulli_L_minus1",
@@ -239,19 +240,21 @@ def xi_twisted(D0: int, f: int) -> int:
     return total
 
 
+def euler_factor(D: int, f: int) -> Fraction:
+    """prod_{p | f} (1 - chi_D(p) / p^2) for a discriminant D, exact."""
+    out = Fraction(1)
+    for p in factorize(f):
+        out *= Fraction(p * p - kronecker_chi(D, p), p * p)
+    return out
+
+
 def sigma_gamma_m(c: CaseIndex) -> Fraction:
     """Generalized divisor sum at s = 5/2, as an exact rational.
 
-    Defined as f^{-3} * sum_{d|f} (f/d)^3 * prod_{p|(f/d)} (1 - chi(p)/p^2);
+    Defined as f^{-3} * sum_{q|f} q^3 * prod_{p|q} (1 - chi(p)/p^2);
     equals xi_twisted(D0, f) / f^3 (the two are cross-checked in tests).
     """
-    total = Fraction(0)
-    for d in divisors(c.f):
-        q = c.f // d
-        term = Fraction(q ** 3)
-        for p in factorize(q):
-            term *= Fraction(p * p - kronecker_chi(c.D0, p), p * p)
-        total += term
+    total = sum(q ** 3 * euler_factor(c.D0, q) for q in divisors(c.f))
     return total / c.f ** 3
 
 
@@ -264,18 +267,16 @@ def bernoulli_B2_chi(D0: int) -> Fraction:
     """Generalized Bernoulli number B_{2,chi} for chi = chi_{D0}.
 
     Computed from the closed polynomial sum
-        B_{2,chi} = (1/F) sum_{a=1}^{F} chi(a) (a^2 - F a + F^2/6),  F = |D0|.
-    Exact; vanishes for odd characters (D0 < 0).
+        B_{2,chi} = (1/F) sum_{a=1}^{F} chi(a) (a^2 - F a + F^2/6),  F = |D0|,
+    summed over the integers chi(a) (6 a^2 - 6 F a + F^2) and divided by 6F
+    once.  Exact; vanishes for odd characters (D0 < 0).
     """
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
     F = abs(D0)
-    total = Fraction(0)
-    for a in range(1, F + 1):
-        chi = kronecker_chi(D0, a)
-        if chi:
-            total += chi * (Fraction(a * a) - Fraction(F * a) + Fraction(F * F, 6))
-    return total / F
+    total = sum(kronecker_chi(D0, a) * (6 * a * a - 6 * F * a + F * F)
+                for a in range(1, F + 1))
+    return Fraction(total, 6 * F)
 
 
 def bernoulli_L_minus1(D0: int) -> Fraction:
@@ -284,16 +285,6 @@ def bernoulli_L_minus1(D0: int) -> Fraction:
     Zero for D0 < 0 (odd character).
     """
     return -bernoulli_B2_chi(D0) / 2
-
-
-def _character_partial_max(D0: int) -> int:
-    """Max |prefix sum| of chi_{D0} over one period (for tail bounds)."""
-    best = 0
-    acc = 0
-    for a in range(1, abs(D0) + 1):
-        acc += kronecker_chi(D0, a)
-        best = max(best, abs(acc))
-    return best
 
 
 def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
@@ -314,11 +305,12 @@ def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
         n = np.arange(1, N + 1, dtype=np.float64)
         head = float(np.sum(1.0 / (n * n)[::-1]))
         return head + 1.0 / N - 1.0 / (2.0 * N * N) + 1.0 / (6.0 * N ** 3)
-    C = _character_partial_max(D0)
-    N = max(1000, math.isqrt(int(2 * max(C, 1) / abs_tol)) + 1)
     period = abs(D0)
-    table = np.array([kronecker_chi(D0, r) if r else kronecker_chi(D0, period)
-                      for r in range(period)], dtype=np.float64)
+    # table[r] = chi(r mod period); chi(period) = 0 for |D0| > 1
+    table = np.array([0] + [kronecker_chi(D0, r) for r in range(1, period)],
+                     dtype=np.float64)
+    C = int(np.max(np.abs(np.cumsum(table))))  # max |prefix sum| of chi
+    N = max(1000, math.isqrt(int(2 * max(C, 1) / abs_tol)) + 1)
     total = 0.0
     chunk = 1 << 20
     # summed in descending-n chunks so the smallest terms accumulate first

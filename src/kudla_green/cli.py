@@ -9,10 +9,12 @@ Three subcommands:
   check (exit 1 on any FAIL).
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 domain error (point outside the half-space), 4 singular point
-(on a Heegner divisor).  Exact rationals are printed as exact strings
-("p/q"), floats with 15 significant digits; identical invocations produce
-byte-identical output, and the JSON and CSV payloads carry the same numbers.
+error, 3 domain error (point outside the half-space, v or radius not
+positive, or a point so far out that the majorant Gram matrix loses positive
+definiteness to rounding), 4 singular point (on a Heegner divisor).  Exact
+rationals are printed as exact strings ("p/q"), floats with 15 significant
+digits; identical invocations produce byte-identical output, and the JSON
+and CSV payloads carry the same numbers.
 """
 
 from __future__ import annotations
@@ -170,6 +172,8 @@ def cmd_green(cfg: RunConfig) -> tuple[int, str]:
         ev = green_function(c, cfg.v, z, cfg.radius, prec)
     except SingularPointError as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
+    except ValueError as exc:
+        return EXIT_DOMAIN, f"error: {exc}\n"
     rows = [{
         "value": _json_float(ev.value),
         "terms_used": ev.terms_used,
@@ -296,11 +300,11 @@ def _check_volumes(prec: Precision) -> list[dict]:
     rows.append({"label": "V_{1,3}(-4) = Catalan/3",
                  "lhs": v13, "rhs": catalan / 3.0,
                  "diff": abs(v13 - catalan / 3.0) / (catalan / 3.0)})
-    hv = hirzebruch_vol(5, 1, prec)
+    hv = hirzebruch_vol(5, 1)
     rows.append({"label": "Hirzebruch volume (5, f=1) = 1/15 exactly",
                  "lhs": float(hv.exact_part), "rhs": 1.0 / 15.0,
                  "diff": abs(float(hv.exact_part - Fraction(1, 15)))})
-    v22 = V22(5, prec)
+    v22 = V22(5)
     via_L = 5.0 ** 1.5 * L_chi_2_functional(5) / 3.0
     rows.append({"label": "V_{2,2}(5) dual routes",
                  "lhs": v22.value, "rhs": via_L,

@@ -123,38 +123,51 @@ def embed_u(z: SiegelPoint) -> tuple[complex, complex, complex, complex, complex
     return (z.z2 * z.z2 - z.z1 * z.z3, -z.z1, -z.z2, -z.z3, 1.0 + 0.0j)
 
 
-def psi(z: SiegelPoint, x: AmbientVector) -> complex:
-    """psi(z, x) = x1 - x2 z3 + 2 x3 z2 - x4 z1 + x5 (z2^2 - z1 z3).
+def _psi_coeffs(z: SiegelPoint) -> tuple[complex, ...]:
+    """c(z) = (1, -z3, 2 z2, -z1, z2^2 - z1 z3), so psi(z, x) = sum c_i x_i.
 
-    Linear in x; psi = 0 exactly on the Humbert surface Z(x).
+    The one statement of psi: psi, R and the majorant Gram matrix all read it.
     """
-    return (float(x.x1)
-            - float(x.x2) * z.z3
-            + 2.0 * float(x.x3) * z.z2
-            - float(x.x4) * z.z1
-            + float(x.x5) * (z.z2 * z.z2 - z.z1 * z.z3))
+    return (1.0 + 0.0j, -z.z3, 2.0 * z.z2, -z.z1, z.z2 * z.z2 - z.z1 * z.z3)
+
+
+def _psi_dot(c: tuple[complex, ...], x) -> complex:
+    """sum c_i x_i, added left to right, for float (or int) coordinates x."""
+    return c[0] * x[0] + c[1] * x[1] + c[2] * x[2] + c[3] * x[3] + c[4] * x[4]
+
+
+def _majorant_R_at(c: tuple[complex, ...], two_eta2: float, x) -> float:
+    """|sum c_i x_i|^2 / (2 eta2), with c = c(z) and two_eta2 = 2 eta2(z).
+
+    The one evaluation of R.  Callers that evaluate R at many x for one z
+    (the Green function, once per lattice term) compute c and 2 eta2 once.
+    Private, not in __all__: per-term code below the public API, which
+    perfbench's spans (one per public call) would swamp.
+    """
+    p = _psi_dot(c, x)
+    return (p.real * p.real + p.imag * p.imag) / two_eta2
+
+
+def psi(z: SiegelPoint, x: AmbientVector) -> complex:
+    """psi(z, x) = sum c_i(z) x_i, linear in x; zero exactly on Z(x)."""
+    return _psi_dot(_psi_coeffs(z), [float(t) for t in x.coords])
 
 
 def majorant_R(z: SiegelPoint, x: AmbientVector) -> float:
     """R(x, z) = |psi(z, x)|^2 / (2 eta2) >= 0, zero exactly on Z(x)."""
-    p = psi(z, x)
-    return (p.real * p.real + p.imag * p.imag) / (2.0 * z.eta2)
-
-
-def _psi_coefficients(z: SiegelPoint) -> np.ndarray:
-    """Coefficients c with psi(z, x) = sum_i c_i x_i."""
-    return np.array([1.0 + 0.0j, -z.z3, 2.0 * z.z2, -z.z1,
-                     z.z2 * z.z2 - z.z1 * z.z3])
+    return _majorant_R_at(_psi_coeffs(z), 2.0 * z.eta2,
+                          [float(t) for t in x.coords])
 
 
 def majorant_gram(z: SiegelPoint) -> np.ndarray:
     """Gram matrix P_z of the majorant x -> (x, x) + 2 R(x, z).
 
-    Since 2 R(x, z) = |sum c_i x_i|^2 / eta2 with c the psi coefficients,
-    P_z = Q + Re(c cbar^T) / eta2.  Raises ValueError if the result fails
-    the positive-definiteness check (an implementation bug, not bad input).
+    Since 2 R(x, z) = |sum c_i x_i|^2 / eta2 with c = c(z) the psi
+    coefficients, P_z = Q + Re(c cbar^T) / eta2.  Raises ValueError if the
+    result fails the positive-definiteness check, which rounding causes
+    when z lies far out (e.g. Re z1 or Re z2 near 1e6).
     """
-    c = _psi_coefficients(z)
+    c = np.array(_psi_coeffs(z))
     S = np.real(np.outer(c, np.conj(c)))
     P = GRAM_Q + S / z.eta2
     P = 0.5 * (P + P.T)

@@ -10,7 +10,8 @@ discriminant.  The geometric vector attached to u is
 
     x(u) = (u1, u2, u3/2, u4, u5),      q(x(u)) = qhat(u)/4 = m,
 
-and all majorant values R are computed on x(u).  With this scaling the
+and all majorant values R are computed on x(u), from geometry's single psi:
+R(x(u), z) = |sum c_i(z) x_i(u)|^2 / (2 eta2).  With this scaling the
 stabilizer reduction gives R = 2m sinh^2 t on the positive-index orbit, the
 per-orbit integrals collapse onto J_plus(3/2, a)/J_minus(3/2, |a|) with
 a = 4 pi m v, and no factors of 2 float around: the Green function is
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import CaseIndex, divisors, split_discriminant
-from .geometry import SiegelPoint, majorant_gram
+from .geometry import SiegelPoint, _majorant_R_at, _psi_coeffs, majorant_gram
 from .specfun import Precision, exp_e1
 
 __all__ = [
@@ -46,13 +47,20 @@ __all__ = [
     "enumerate_bounded",
     "green_function",
     "primitive_decomposition",
-    "psi_hat",
-    "majorant_R_lattice",
 ]
 
 SINGULAR_R_THRESHOLD = 1e-14
 
-_HALF_U3 = np.diag([1.0, 1.0, 0.5, 1.0, 1.0])
+
+def _x_of(u) -> tuple:
+    """The geometric vector x(u) = (u1, u2, u3/2, u4, u5) behind u."""
+    u1, u2, u3, u4, u5 = u
+    return (u1, u2, 0.5 * u3, u4, u5)
+
+
+# x(u) = D u with D = diag(x(1, 1, 1, 1, 1)), so the majorant of x(u) is
+# (1/2) u^T (D P_z D) u
+_HALF_U3 = np.diag(_x_of((1.0,) * 5))
 
 
 class SingularPointError(ValueError):
@@ -243,18 +251,6 @@ def enumerate_bounded(z: SiegelPoint, bound: float,
 # The Green function
 # ---------------------------------------------------------------------------
 
-def psi_hat(u: LatticeVector, z: SiegelPoint) -> complex:
-    """psi on the half-integer scaling: u1 - u2 z3 + u3 z2 - u4 z1 + u5 (z2^2 - z1 z3)."""
-    return (u.u1 - u.u2 * z.z3 + u.u3 * z.z2 - u.u4 * z.z1
-            + u.u5 * (z.z2 * z.z2 - z.z1 * z.z3))
-
-
-def majorant_R_lattice(u: LatticeVector, z: SiegelPoint) -> float:
-    """R(x(u), z) = |psi_hat(u, z)|^2 / (2 eta2) for the vector x(u), q = qhat/4."""
-    p = psi_hat(u, z)
-    return (p.real * p.real + p.imag * p.imag) / (2.0 * z.eta2)
-
-
 def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
                    prec: Precision = Precision(),
                    cap: int = 2_000_000) -> GreenEvaluation:
@@ -276,6 +272,7 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         raise ValueError("m must be nonzero")
     fourm = int(4 * c.m)
     P = majorant_gram(z)
+    psi_c, two_eta2 = _psi_coeffs(z), 2.0 * z.eta2
     P_half = _HALF_U3 @ P @ _HALF_U3
     P_half = 0.5 * (P_half + P_half.T)
     bound = float(c.m) + radius
@@ -291,7 +288,7 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         if u.qhat != fourm:
             continue
         assert u.u3 % 2 == c.gamma
-        r_val = majorant_R_lattice(u, z)
+        r_val = _majorant_R_at(psi_c, two_eta2, _x_of(coords))
         if r_val < SINGULAR_R_THRESHOLD:
             raise SingularPointError(
                 f"z lies on the divisor of u = {u.coords} (R = {r_val:.3e})")

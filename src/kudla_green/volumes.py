@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1,
-                    is_fundamental_discriminant, kronecker_chi, factorize)
+from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, euler_factor,
+                    is_fundamental_discriminant)
 from .specfun import Precision
 
 __all__ = [
@@ -85,14 +85,6 @@ def constant_B() -> Fraction:
     return Fraction(1, 1440)
 
 
-def _euler_factor(dK: int, f: int) -> Fraction:
-    """prod_{p | f} (1 - chi_{dK}(p) / p^2), exact."""
-    out = Fraction(1)
-    for p in factorize(f):
-        out *= Fraction(p * p - kronecker_chi(dK, p), p * p)
-    return out
-
-
 def zeta_K_minus1(dK: int) -> Fraction:
     """zeta_K(-1) = zeta(-1) L(-1, chi_{dK}) for the quadratic field of
     discriminant dK > 1 (exact)."""
@@ -111,17 +103,17 @@ def humbert_V13(dK: int, prec: Precision = Precision()) -> VolumeValue:
                        convention=VolumeConvention.H_PLUS)
 
 
-def hirzebruch_vol(dK: int, f: int, prec: Precision = Precision()) -> VolumeValue:
+def hirzebruch_vol(dK: int, f: int) -> VolumeValue:
     """Covolume of the level-f Hilbert modular group in the (2 pi y1 y2)^{-2}
     normalization: 2 f^3 prod_{p|f}(1 - chi(p)/p^2) zeta_K(-1), exact."""
     if f < 1:
         raise ValueError("f must be >= 1")
-    exact = 2 * f ** 3 * _euler_factor(dK, f) * zeta_K_minus1(dK)
+    exact = 2 * f ** 3 * euler_factor(dK, f) * zeta_K_minus1(dK)
     return VolumeValue(value=float(exact), exact_part=exact,
                        convention=VolumeConvention.H2_HG)
 
 
-def V22(dK: int, prec: Precision = Precision()) -> VolumeValue:
+def V22(dK: int) -> VolumeValue:
     """Full-level Hilbert modular covolume |dK|^{3/2} L(2, chi)/3 in H2_UNIT
     units; exactly 8 pi^2 zeta_K(-1)."""
     exact = 8 * zeta_K_minus1(dK)
@@ -149,7 +141,7 @@ def vol_sie(c: CaseIndex, space: SiegelSpace,
         pref = Fraction(1, 24)
     else:
         raise ValueError(f"unknown space {space!r}")
-    euler = _euler_factor(c.D0, c.f)
+    euler = euler_factor(c.D0, c.f)
     if c.D0 > 0:
         # |D0|^{3/2} L(2,chi) = -2 pi^2 L(-1,chi) exactly
         exact = pref * (-2) * bernoulli_L_minus1(c.D0) * c.f ** 3 * euler

@@ -18,8 +18,8 @@ from kudla_green.geometry import (GRAM_Q, GRAM_Q_INV, AmbientVector,
 from kudla_green.integrals import (heegner_degree, heegner_degree_exact,
                                    heegner_degree_via_cohen,
                                    frozen_normalization, theorem2_check)
-from kudla_green.lattice import (enumerate_bounded, majorant_R_lattice,
-                                 majorant_value, orbit_representative)
+from kudla_green.lattice import (enumerate_bounded, majorant_value,
+                                 orbit_representative)
 from kudla_green.specfun import (FOUR_PI, I3_minus, I3_plus, J_minus, J_plus,
                                  Precision, exp_e1)
 
@@ -204,7 +204,8 @@ def test_criterion_8_log_singularity():
         for _ in range(60):
             delta = math.sqrt(2.0 * r_target * (1.0 + delta))
         z = SiegelPoint(complex(0.0, 1.0 + delta), 0j, 1j)
-        R = majorant_R_lattice(x0, z)
+        R = majorant_R(z, AmbientVector.of(x0.u1, x0.u2, Fraction(x0.u3, 2),
+                                           x0.u4, x0.u5))
         assert abs(R - r_target) / r_target < 1e-9
         t_arg = 2.0 * math.pi * v * R
         values.append(exp_e1(t_arg) + math.log(t_arg))
@@ -220,8 +221,8 @@ def test_criterion_9_volume_spot_values():
     s0 = sum((-1) ** k / (2 * k + 1) ** 2 for k in range(40000))
     catalan = 0.5 * (s0 + s0 + 1.0 / (2 * 40000 + 1) ** 2)
     d_v13 = abs(humbert_V13(-4, PREC).value - catalan / 3.0)
-    exact_ok = hirzebruch_vol(5, 1, PREC).exact_part == Fraction(1, 15)
-    v22 = V22(5, PREC)
+    exact_ok = hirzebruch_vol(5, 1).exact_part == Fraction(1, 15)
+    v22 = V22(5)
     via_L = 5.0 ** 1.5 * L_chi_2_series(5, 1e-11) / 3.0
     d_v22 = abs(v22.value - via_L) / via_L
     _report(9, f"volume spot values, |d13| {d_v13:.1e}, V22 rel {d_v22:.1e}",

@@ -94,6 +94,14 @@ def test_green_domain_error_exit_3(capsys):
     assert code == 3
 
 
+def test_green_majorant_not_positive_definite_exit_3(capsys):
+    code, out = run_cli(capsys, "green", "--z1=0.1+1.1i",
+                        "--z2=1000000.05+0.2i", "--z3=-0.2+0.9i", "--m", "1",
+                        "--gamma", "0", "--v", "1", "--radius", "4")
+    assert code == 3
+    assert out == "error: majorant Gram matrix not positive definite\n"
+
+
 def test_green_singular_point_exit_4(capsys):
     code, out = run_cli(capsys, "green", "--z1", "1i", "--z2", "0i",
                         "--z3", "1i", "--m", "1", "--gamma", "0", "--v", "1")

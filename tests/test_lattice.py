@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from kudla_green.arith import split_discriminant
-from kudla_green.geometry import SiegelPoint, majorant_gram
+from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
+                                  majorant_gram)
 from kudla_green.lattice import (EnumerationCapError, LatticeVector,
                                  SingularPointError, enumerate_bounded,
-                                 green_function, majorant_R_lattice,
-                                 majorant_value, orbit_representative,
-                                 primitive_decomposition, psi_hat)
-from kudla_green.specfun import e1_series
+                                 green_function, majorant_value,
+                                 orbit_representative, primitive_decomposition)
+from kudla_green.specfun import e1_series, exp_e1
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)
@@ -153,22 +153,32 @@ def test_enumerate_cap_guard():
 # Green function
 # ---------------------------------------------------------------------------
 
-def _green_box_oracle(c, v, z, radius):
-    """Independent evaluation: box scan for qhat = 4m, series E1 terms."""
+def _x(u):
+    """x(u) = (u1, u2, u3/2, u4, u5), exactly."""
+    u1, u2, u3, u4, u5 = u
+    return AmbientVector.of(u1, u2, Fraction(u3, 2), u4, u5)
+
+
+def _green_box_terms(c, z, radius):
+    """Box scan for qhat = 4m: the (u, R) terms with R <= radius, sorted by u."""
     P = majorant_gram(z)
     D = np.diag([1.0, 1.0, 0.5, 1.0, 1.0])
     Ph = D @ P @ D
-    total = 0.0
-    count = 0
+    terms = []
     for u in sorted(_box_scan(Ph, float(c.m) + radius)):
-        vec = LatticeVector(*u)
-        if vec.qhat != 4 * c.m:
+        if LatticeVector(*u).qhat != 4 * c.m:
             continue
-        r_val = majorant_R_lattice(vec, z)
+        r_val = majorant_R(z, _x(u))
         if r_val <= radius:
-            total += e1_series(2.0 * math.pi * v * r_val)
-            count += 1
-    return total, count
+            terms.append((u, r_val))
+    return terms
+
+
+def _green_box_oracle(c, v, z, radius):
+    """Independent evaluation: box scan for qhat = 4m, series E1 terms."""
+    terms = _green_box_terms(c, z, radius)
+    total = sum(e1_series(2.0 * math.pi * v * r_val) for _, r_val in terms)
+    return total, len(terms)
 
 
 def test_green_against_box_oracle():
@@ -234,9 +244,27 @@ def test_green_input_validation():
         green_function(c, 1.0, Z_GENERIC, 0.0)
 
 
-def test_psi_hat_matches_halved_vector():
-    from kudla_green.geometry import AmbientVector, majorant_R as geom_R, psi as geom_psi
-    u = LatticeVector(1, -2, 3, 0, 2)
-    x = AmbientVector.of(1, -2, Fraction(3, 2), 0, 2)
-    assert abs(psi_hat(u, Z_GENERIC) - geom_psi(Z_GENERIC, x)) < 1e-14
-    assert abs(majorant_R_lattice(u, Z_GENERIC) - geom_R(Z_GENERIC, x)) < 1e-14
+def test_green_value_is_sum_over_geometry_R():
+    # the terms' R is geometry.majorant_R at x(u), bit for bit
+    for c, v, radius in ((split_discriminant(0, 1), 1.0, 2.5),
+                         (split_discriminant(1, Fraction(5, 4)), 0.8, 2.0)):
+        ev = green_function(c, v, Z_GENERIC, radius)
+        terms = _green_box_terms(c, Z_GENERIC, radius)
+        want = 0.0
+        for _, r_val in terms:
+            want += exp_e1(2.0 * math.pi * v * r_val)
+        assert ev.terms_used == len(terms) > 0
+        assert ev.value == want
+
+
+def test_green_invariant_under_unit_translations():
+    # z_k -> z_k + 1 permutes the index set and preserves every R
+    for z in _random_points(8, seed=3):
+        base = green_function(split_discriminant(0, 1), 1.0, z, 6.0)
+        for k in range(3):
+            shifted = [z.z1, z.z2, z.z3]
+            shifted[k] += 1
+            ev = green_function(split_discriminant(0, 1), 1.0,
+                                SiegelPoint(*shifted), 6.0)
+            assert ev.terms_used == base.terms_used
+            assert ev.value == pytest.approx(base.value, rel=1e-12, abs=0.0)

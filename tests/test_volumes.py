@@ -68,15 +68,15 @@ def test_humbert_V13_rejects_bad_input():
 
 
 def test_hirzebruch_vol_exact_values():
-    hv = hirzebruch_vol(5, 1, PREC)
+    hv = hirzebruch_vol(5, 1)
     assert hv.exact_part == Fraction(1, 15)
     assert hv.convention is VolumeConvention.H2_HG
-    assert hirzebruch_vol(5, 2, PREC).exact_part == Fraction(2, 3)
+    assert hirzebruch_vol(5, 2).exact_part == Fraction(2, 3)
 
 
 def test_hirzebruch_vol_three_lines_consistent():
     for dK, f in ((5, 1), (5, 2), (8, 1), (13, 3)):
-        hv = hirzebruch_vol(dK, f, PREC)
+        hv = hirzebruch_vol(dK, f)
         L2 = L_chi_2_series(dK, 1e-11)
         euler = float(hv.exact_part / (2 * f ** 3 * zeta_K_minus1(dK)))
         numeric = (f ** 3 * euler * dK ** 1.5 * L2 / (12.0 * math.pi ** 2))
@@ -84,7 +84,7 @@ def test_hirzebruch_vol_three_lines_consistent():
 
 
 def test_V22_routes_and_value():
-    v = V22(5, PREC)
+    v = V22(5)
     assert v.exact_part == Fraction(8, 30)
     assert v.pi_power == 2
     assert v.value == pytest.approx(4.0 * math.pi ** 2 / 15.0, rel=1e-12)
@@ -94,7 +94,7 @@ def test_V22_routes_and_value():
 
 def test_V22_to_hirzebruch_conversion_constant():
     for dK in (5, 13):
-        ratio = V22(dK, PREC).value / hirzebruch_vol(dK, 1, PREC).value
+        ratio = V22(dK).value / hirzebruch_vol(dK, 1).value
         assert ratio == pytest.approx((2.0 * math.pi) ** 2, rel=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_zeta_functional_equation():
 
 
 def test_exact_parts_consistent_with_values():
-    cases = [hirzebruch_vol(5, 2, PREC), V22(8, PREC),
+    cases = [hirzebruch_vol(5, 2), V22(8),
              vol_sie(split_discriminant(0, 3), SiegelSpace.D22, PREC)]
     for v in cases:
         assert v.exact_part is not None
