@@ -10,11 +10,11 @@ Three subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error, 3 domain error (point outside the half-space, v or radius not
-positive, or a point so far out that the majorant Gram matrix loses positive
-definiteness to rounding), 4 singular point (on a Heegner divisor).  Exact
-rationals are printed as exact strings ("p/q"), floats with 15 significant
-digits; identical invocations produce byte-identical output, and the JSON
-and CSV payloads carry the same numbers.
+positive and finite, or a point so far out that the majorant Gram matrix
+loses positive definiteness to rounding), 4 singular point (on a Heegner
+divisor).  Exact rationals are printed as exact strings ("p/q"), floats
+with 15 significant digits; identical invocations produce byte-identical
+output, and the JSON and CSV payloads carry the same numbers.
 """
 
 from __future__ import annotations

@@ -19,9 +19,15 @@ a = 4 pi m v, and no factors of 2 float around: the Green function is
     Xi(gamma, m, v, z) = sum_{u in L(gamma, m)} beta_1(2 pi v R(x(u), z)).
 
 Enumeration under a majorant bound runs LLL basis reduction followed by
-Fincke-Pohst recursive coordinate bounding; the final accept/reject always
-re-evaluates the canonical quadratic form `majorant_value`, so a brute-force
-box scan using the same function reproduces the output multiset exactly.
+Fincke-Pohst recursive coordinate bounding.  `enumerate_bounded` scans every
+coordinate over its range; the Green function enumerates the shell
+qhat(u) = 4m directly, solving the integer quadratic qhat(T w) = 4m for the
+innermost reduced coordinate instead of scanning it, so only shell points
+leave the enumeration.  Either way every point the enumeration yields is
+accepted or rejected by re-evaluating the canonical quadratic form
+`majorant_value`, so a brute-force box scan using the same function (and,
+for the Green function, the same qhat = 4m test) reproduces the output
+exactly.
 """
 
 from __future__ import annotations
@@ -62,6 +68,13 @@ def _x_of(u) -> tuple:
 # (1/2) u^T (D P_z D) u
 _HALF_U3 = np.diag(_x_of((1.0,) * 5))
 
+# qhat(u) = u^T _QHAT u = u3^2 - 4 u2 u4 - 4 u1 u5
+_QHAT = np.array([[0, 0, 0, 0, -2],
+                  [0, 0, 0, -2, 0],
+                  [0, 0, 1, 0, 0],
+                  [0, -2, 0, 0, 0],
+                  [-2, 0, 0, 0, 0]])
+
 
 class SingularPointError(ValueError):
     """The evaluation point lies on (or numerically on) a Heegner divisor."""
@@ -99,10 +112,19 @@ class LatticeVector:
 
 @dataclass(frozen=True)
 class GreenEvaluation:
+    """One truncated Green-function value and what it cost.
+
+    nodes_visited counts the Fincke-Pohst search-tree nodes; min_R is the
+    smallest R(x(u), z) among the summed terms, which is the smallest R on
+    the whole shell qhat = 4m whenever that is <= radius (inf: no term).
+    """
+
     value: float
     terms_used: int
     tail_bound: float
     radius: float
+    nodes_visited: int = 0
+    min_R: float = math.inf
 
     def __post_init__(self):
         if self.tail_bound < 0:
@@ -174,29 +196,80 @@ def _lll_transform(P: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return T
 
 
-def _fincke_pohst(P: np.ndarray, limit: float, cap: int) -> list[tuple[int, ...]]:
-    """All nonzero integer w with w^T P w <= limit (P positive definite).
+def _shell_roots(a: int, b: int, c: int, lo: int, hi: int):
+    """The integers w in [lo, hi] with a w^2 + b w + c = 0, ascending.
+
+    Exact integer arithmetic: math.isqrt of the discriminant and a
+    divisibility test.  a = 0 is the linear case; a = b = c = 0 makes every
+    w in [lo, hi] a root.
+    """
+    if a == 0:
+        if b == 0:
+            return range(lo, hi + 1) if c == 0 else ()
+        w, r = divmod(-c, b)
+        return (w,) if r == 0 and lo <= w <= hi else ()
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return ()
+    roots = set()
+    for num in (-b - s, -b + s):
+        w, r = divmod(num, 2 * a)
+        if r == 0 and lo <= w <= hi:
+            roots.add(w)
+    return sorted(roots)
+
+
+def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
+                  form: list[list[int]] | None = None,
+                  target: int = 0) -> tuple[list[tuple[int, ...]], int]:
+    """Nonzero integer w with w^T P w <= limit (P positive definite), and
+    the number of search-tree nodes visited.
 
     Recursive coordinate bounding on the Cholesky factor, with a small
     relative slack so boundary points are never pruned by roundoff;
-    callers re-filter with the canonical form.
+    callers re-filter with the canonical form.  A node is one prefix
+    (w_{i+1}, ..., w_{n-1}) whose range for w_i is computed.
+
+    Given an integer symmetric `form` Q (nested lists) and a `target`, only
+    the w with w^T Q w = target are yielded.  At each node
+    w^T Q w = Q_ii w_i^2 + b w_i + qtail over w_i, ..., w_{n-1}, with
+    b = 2 sum_{j>i} Q_ij w_j, so the innermost w_0 is not scanned over its
+    range but solved for exactly (`_shell_roots`); each root passes the
+    same range and slack tests as a scanned w_0.  `cap` bounds the points
+    yielded.
     """
     n = P.shape[0]
-    R = np.linalg.cholesky(P).T
+    R = np.linalg.cholesky(P).T.tolist()
     slack = limit * 1e-9 + 1e-9
     budget = limit + slack
     out: list[tuple[int, ...]] = []
     w = [0] * n
+    nodes = 0
 
-    def descend(i: int, remaining: float) -> None:
+    def descend(i: int, remaining: float, qtail: int) -> None:
+        # qtail = w^T Q w restricted to w_{i+1}, ..., w_{n-1}
+        nonlocal nodes
+        nodes += 1
         t = 0.0
         for j in range(i + 1, n):
-            t += R[i, j] * w[j]
+            t += R[i][j] * w[j]
         rad = math.sqrt(max(remaining, 0.0))
-        rii = R[i, i]
+        rii = R[i][i]
         lo = math.ceil((-rad - t) / rii - 1e-12)
         hi = math.floor((rad - t) / rii + 1e-12)
-        for wi in range(lo, hi + 1):
+        wis = range(lo, hi + 1)
+        if form is not None:
+            row = form[i]
+            b = 0
+            for j in range(i + 1, n):
+                b += row[j] * w[j]
+            b *= 2
+            if i == 0:
+                wis = _shell_roots(row[0], b, qtail - target, lo, hi)
+        for wi in wis:
             s = rii * wi + t
             rem = remaining - s * s
             if rem < -slack:
@@ -208,27 +281,41 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int) -> list[tuple[int, ...]
                     if len(out) > cap:
                         raise EnumerationCapError(
                             f"more than {cap} lattice points below the bound")
+            elif form is None:
+                descend(i - 1, rem, 0)
             else:
-                descend(i - 1, rem)
+                descend(i - 1, rem, qtail + wi * (row[i] * wi + b))
         w[i] = 0
 
-    descend(n - 1, budget)
-    return out
+    descend(n - 1, budget, 0)
+    return out, nodes
 
 
-def _enumerate_core(P: np.ndarray, bound: float, slack: float,
-                    cap: int) -> list[tuple[int, ...]]:
-    """Nonzero u with majorant_value(P, u) <= bound, sorted lexicographically."""
+def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
+                    form: np.ndarray | None = None,
+                    target: int = 0) -> tuple[list[tuple[int, ...]], int]:
+    """Nonzero u with majorant_value(P, u) <= bound, sorted lexicographically,
+    and the Fincke-Pohst node count.
+
+    With an integer `form` Q (in u coordinates) and `target`, only the u
+    with u^T Q u = target: the enumeration runs on the reduced form
+    T^T Q T and solves for its innermost coordinate.
+    """
     T = _lll_transform(P)
     P_red = T.T @ P @ T
     P_red = 0.5 * (P_red + P_red.T)
+    form_red = None
+    if form is not None:
+        T_obj = T.astype(object)  # exact Python-int products
+        form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
+    points, nodes = _fincke_pohst(P_red, 2.0 * bound, cap, form_red, target)
     found = []
-    for wt in _fincke_pohst(P_red, 2.0 * bound, cap):
+    for wt in points:
         u = T @ np.array(wt, dtype=np.int64)
         if majorant_value(P, u) <= bound + slack:
             found.append(tuple(int(x) for x in u))
     found.sort()
-    return found
+    return found, nodes
 
 
 def enumerate_bounded(z: SiegelPoint, bound: float,
@@ -244,7 +331,8 @@ def enumerate_bounded(z: SiegelPoint, bound: float,
     if bound <= 0:
         return []
     P = majorant_gram(z)
-    return [LatticeVector(*u) for u in _enumerate_core(P, bound, 0.0, cap)]
+    points, _ = _enumerate_core(P, bound, 0.0, cap)
+    return [LatticeVector(*u) for u in points]
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +344,23 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
                    cap: int = 2_000_000) -> GreenEvaluation:
     """Truncated Green function  sum_u beta_1(2 pi v R(x(u), z))  at z.
 
-    The sum runs over u with qhat(u) = 4m and R(x(u), z) <= radius,
-    enumerated through the majorant bound q(x(u)) + R = m + R <= m + radius.
-    Terms are added in lexicographic order of u (deterministic).  A term
-    with R below SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
+    The sum runs over u with qhat(u) = 4m and R(x(u), z) <= radius.  The
+    enumeration walks the majorant ellipsoid q(x(u)) + R = m + R <= m + radius
+    and solves qhat(u) = 4m for the innermost reduced coordinate, so it
+    yields the shell points only; `cap` bounds their number
+    (EnumerationCapError beyond it).  Each shell point then passes the
+    canonical majorant_value test, and R is taken at x(u).  Terms are added
+    in lexicographic order of u (deterministic).  A term with R below
+    SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
     SingularPointError.  tail_bound reports the crude shell estimate
     c(z) * radius^{3/2} * e^{-t}/t at t = 2 pi v radius, with c(z)
     calibrated from the enumerated count; it is reported, never added.
+    v and radius must be positive and finite (ValueError).
     """
-    if v <= 0:
-        raise ValueError("v must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (v > 0 and math.isfinite(v)):
+        raise ValueError("v must be positive and finite")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be positive and finite")
     if c.m == 0:
         raise ValueError("m must be nonzero")
     fourm = int(4 * c.m)
@@ -282,25 +375,26 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         return GreenEvaluation(value=0.0, terms_used=0,
                                tail_bound=radius ** 1.5 * beta1_cut,
                                radius=radius)
-    terms = []
-    for coords in _enumerate_core(P_half, bound, prec.abs_tol, cap):
-        u = LatticeVector(*coords)
-        if u.qhat != fourm:
-            continue
-        assert u.u3 % 2 == c.gamma
-        r_val = _majorant_R_at(psi_c, two_eta2, _x_of(coords))
+    shell, nodes = _enumerate_core(P_half, bound, prec.abs_tol, cap,
+                                   _QHAT, fourm)
+    r_terms = []
+    for u in shell:  # sorted by u
+        assert u[2] % 2 == c.gamma
+        r_val = _majorant_R_at(psi_c, two_eta2, _x_of(u))
         if r_val < SINGULAR_R_THRESHOLD:
             raise SingularPointError(
-                f"z lies on the divisor of u = {u.coords} (R = {r_val:.3e})")
+                f"z lies on the divisor of u = {u} (R = {r_val:.3e})")
         if r_val <= radius:
-            terms.append((coords, r_val))
+            r_terms.append(r_val)
     value = 0.0
-    for _, r_val in terms:  # already sorted by u
+    for r_val in r_terms:
         value += exp_e1(2.0 * math.pi * v * r_val)
-    density = len(terms) / radius ** 1.5 if terms else 1.0
+    density = len(r_terms) / radius ** 1.5 if r_terms else 1.0
     tail_bound = density * radius ** 1.5 * beta1_cut
-    return GreenEvaluation(value=value, terms_used=len(terms),
-                           tail_bound=tail_bound, radius=radius)
+    return GreenEvaluation(value=value, terms_used=len(r_terms),
+                           tail_bound=tail_bound, radius=radius,
+                           nodes_visited=nodes,
+                           min_R=min(r_terms, default=math.inf))
 
 
 def primitive_decomposition(c: CaseIndex) -> list[tuple[int, CaseIndex]]:

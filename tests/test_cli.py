@@ -102,6 +102,16 @@ def test_green_majorant_not_positive_definite_exit_3(capsys):
     assert out == "error: majorant Gram matrix not positive definite\n"
 
 
+@pytest.mark.parametrize("name,value", [("v", "nan"), ("v", "inf"),
+                                        ("radius", "nan"), ("radius", "inf")])
+def test_green_non_finite_input_exit_3(capsys, name, value):
+    argv = list(GREEN_ARGS)
+    argv[argv.index(f"--{name}") + 1] = value
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == f"error: {name} must be positive and finite\n"
+
+
 def test_green_singular_point_exit_4(capsys):
     code, out = run_cli(capsys, "green", "--z1", "1i", "--z2", "0i",
                         "--z3", "1i", "--m", "1", "--gamma", "0", "--v", "1")

@@ -10,10 +10,12 @@ from kudla_green.arith import split_discriminant
 from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
                                   majorant_gram)
 from kudla_green.lattice import (EnumerationCapError, LatticeVector,
-                                 SingularPointError, enumerate_bounded,
-                                 green_function, majorant_value,
-                                 orbit_representative, primitive_decomposition)
-from kudla_green.specfun import e1_series, exp_e1
+                                 SingularPointError, _enumerate_core,
+                                 _lll_transform, _shell_roots,
+                                 enumerate_bounded, green_function,
+                                 majorant_value, orbit_representative,
+                                 primitive_decomposition)
+from kudla_green.specfun import Precision, e1_series, exp_e1
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)
@@ -242,6 +244,12 @@ def test_green_input_validation():
         green_function(c, 0.0, Z_GENERIC, 1.0)
     with pytest.raises(ValueError):
         green_function(c, 1.0, Z_GENERIC, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="v must be positive and finite"):
+            green_function(c, bad, Z_GENERIC, 1.0)
+        with pytest.raises(ValueError,
+                           match="radius must be positive and finite"):
+            green_function(c, 1.0, Z_GENERIC, bad)
 
 
 def test_green_value_is_sum_over_geometry_R():
@@ -268,3 +276,123 @@ def test_green_invariant_under_unit_translations():
                                 SiegelPoint(*shifted), 6.0)
             assert ev.terms_used == base.terms_used
             assert ev.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# shell-direct enumeration against the full majorant ellipsoid
+# ---------------------------------------------------------------------------
+
+def _scan_points(n, seed):
+    """Base points drawn as the green-scan benchmark draws them."""
+    rng = np.random.RandomState(seed)
+    pts = []
+    for _ in range(n):
+        y1, y3 = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 2))
+        y2 = rng.uniform(-0.9, 0.9) * math.sqrt(y1 * y3)
+        x1, x2, x3 = rng.uniform(-0.5, 0.5, 3) + rng.randint(-2, 3, 3)
+        pts.append(SiegelPoint(complex(x1, y1), complex(x2, y2),
+                               complex(x3, y3)))
+    return pts
+
+
+def _half_gram(z):
+    D = np.diag([1.0, 1.0, 0.5, 1.0, 1.0])
+    Ph = D @ majorant_gram(z) @ D
+    return 0.5 * (Ph + Ph.T)
+
+
+def _green_ellipsoid_oracle(c, v, z, radius, prec=Precision()):
+    """The whole-ellipsoid route: every point of the majorant ellipsoid,
+    then the qhat = 4m and R <= radius filters, summed in order of u."""
+    points, _ = _enumerate_core(_half_gram(z), float(c.m) + radius,
+                                prec.abs_tol, 2_000_000)
+    value, n = 0.0, 0
+    for u in points:
+        if LatticeVector(*u).qhat != 4 * c.m:
+            continue
+        r_val = majorant_R(z, _x(u))
+        if r_val <= radius:
+            value += exp_e1(2.0 * math.pi * v * r_val)
+            n += 1
+    return value, n
+
+
+def _first_reduced_column_isotropic(z):
+    col = _lll_transform(_half_gram(z))[:, 0]
+    return LatticeVector(*(int(x) for x in col)).qhat == 0
+
+
+def test_green_shell_matches_full_ellipsoid():
+    rng = np.random.RandomState(11)
+    ms = [(0, 1), (1, Fraction(5, 4)), (0, 2), (0, 3), (1, Fraction(9, 4)),
+          (0, -1)]
+    zs = [Z_GENERIC] + _scan_points(23, seed=5)
+    isotropic = 0
+    for i, z in enumerate(zs):
+        gamma, m = ms[i % len(ms)]
+        c = split_discriminant(gamma, m)
+        v = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+        radius = 12.0 if i == 0 else float(rng.uniform(2.0, 12.0))
+        ev = green_function(c, v, z, radius)
+        want, n = _green_ellipsoid_oracle(c, v, z, radius)
+        assert ev.terms_used == n, f"point {i}"
+        assert ev.value.hex() == want.hex(), f"point {i}"
+        isotropic += _first_reduced_column_isotropic(z)
+    # the linear shell equation (reduced a = 0) is exercised, Z_GENERIC too
+    assert _first_reduced_column_isotropic(Z_GENERIC) and isotropic >= 5
+
+
+def test_shell_roots_match_brute_force():
+    def brute(a, b, c, lo, hi):
+        return [w for w in range(lo, hi + 1) if a * w * w + b * w + c == 0]
+
+    named = {
+        "linear": (0, 3, -6, -5, 5),
+        "linear, root outside": (0, 1, -9, -5, 5),
+        "linear, not divisible": (0, 2, 3, -5, 5),
+        "whole range": (0, 0, 0, -3, 4),
+        "no root": (0, 0, 2, -3, 4),
+        "negative discriminant": (1, 1, 1, -5, 5),
+        "non-square discriminant": (1, 0, -2, -5, 5),
+        "double root": (2, -8, 8, -5, 5),
+        "two roots": (-1, 1, 6, -5, 5),
+        "roots outside": (1, 0, -64, -5, 5),
+        "one root outside": (1, -5, -6, -5, 5),
+        "one root not an integer": (2, -3, 1, -5, 5),
+        "square discriminant, no integer root": (4, 0, -1, -5, 5),
+    }
+    for name, (a, b, c, lo, hi) in named.items():
+        got = list(_shell_roots(a, b, c, lo, hi))
+        assert got == brute(a, b, c, lo, hi), name
+    assert list(_shell_roots(0, 0, 0, -3, 4)) == list(range(-3, 5))
+    assert list(_shell_roots(2, -8, 8, -5, 5)) == [2]
+    for a in range(-3, 4):
+        for b in range(-7, 8):
+            for c in range(-9, 10):
+                for lo, hi in ((-4, 4), (-1, 2), (1, 3), (2, 1)):
+                    got = list(_shell_roots(a, b, c, lo, hi))
+                    assert got == brute(a, b, c, lo, hi), (a, b, c, lo, hi)
+
+
+def test_green_cap_counts_shell_points():
+    c = split_discriminant(0, 1)
+    ev = green_function(c, 1.0, Z_GENERIC, 4.0)
+    with pytest.raises(EnumerationCapError):
+        green_function(c, 1.0, Z_GENERIC, 4.0, cap=ev.terms_used - 1)
+    # the cap bounds shell points, not the whole majorant ellipsoid
+    cap = 2 * ev.terms_used
+    ellipsoid, _ = _enumerate_core(_half_gram(Z_GENERIC), 5.0, 0.0, 10**6)
+    assert len(ellipsoid) > cap
+    assert green_function(c, 1.0, Z_GENERIC, 4.0, cap=cap).value == ev.value
+
+
+def test_green_counters():
+    c = split_discriminant(0, 1)
+    e1 = green_function(c, 1.0, Z_GENERIC, 5.0)
+    e2 = green_function(c, 1.0, Z_GENERIC, 5.0)
+    assert e1.nodes_visited == e2.nodes_visited > 0
+    assert e1.min_R == e2.min_R == min(
+        r for _, r in _green_box_terms(c, Z_GENERIC, 5.0))
+    empty = green_function(c, 1.0, Z_GENERIC, 1e-3)
+    assert empty.terms_used == 0 and empty.min_R == math.inf
+    assert empty.nodes_visited > 0
