@@ -5,16 +5,17 @@ Three subcommands:
 * ``coeff``  -- table of (gamma, m, D0, f, H(2,4m), C(gamma,m,0), deg) rows;
 * ``green``  -- evaluate the truncated Green function at a point of the
   genus-2 half-space;
-* ``verify`` -- run the identity suites and report one PASS/FAIL line per
-  check (exit 1 on any FAIL).
+* ``verify`` -- run the identity criteria of ``checks`` on small grids and
+  report one PASS/FAIL line per row (exit 1 on any FAIL).
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 domain error (point outside the half-space, v or radius not
-positive and finite, or a point so far out that the majorant Gram matrix
-loses positive definiteness to rounding), 4 singular point (on a Heegner
-divisor).  Exact rationals are printed as exact strings ("p/q"), floats
-with 15 significant digits; identical invocations produce byte-identical
-output, and the JSON and CSV payloads carry the same numbers.
+error (including a ``--tol`` that is NaN, not positive for ``green`` or
+negative for ``verify``), 3 domain error (point outside the half-space, v
+or radius not positive and finite, or a point so far out that the majorant
+Gram matrix loses positive definiteness to rounding), 4 singular point (on
+a Heegner divisor).  Exact rationals are printed as exact strings ("p/q"),
+floats with 15 significant digits; identical invocations produce
+byte-identical output, and the JSON and CSV payloads carry the same numbers.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (CaseIndex, L_chi_2_functional, L_chi_2_series,
-                    sigma_gamma_m, split_discriminant, xi_twisted)
+from . import checks
+from .arith import CaseIndex, L_chi_2_functional, split_discriminant
 from .eisenstein import coefficient_C, cohen_H
-from .geometry import SiegelPoint, majorant_gram, GRAM_Q, GRAM_Q_INV
-from .integrals import (heegner_degree, heegner_degree_exact,
-                        heegner_degree_via_cohen, theorem2_check)
+from .geometry import SiegelPoint
+from .integrals import heegner_degree
 from .lattice import SingularPointError, green_function
-from .specfun import FOUR_PI, I3_minus, I3_plus, J_minus, J_plus, Precision
-from .volumes import V22, hirzebruch_vol, humbert_V13, zeta_K_minus1
+from .specfun import Precision
 
 __all__ = ["RunConfig", "cmd_coeff", "cmd_green", "cmd_verify", "main",
            "entrypoint"]
@@ -159,6 +158,8 @@ def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def cmd_green(cfg: RunConfig) -> tuple[int, str]:
+    if not cfg.tol > 0:
+        return EXIT_USAGE, "error: tol must be positive\n"
     try:
         z = SiegelPoint(*cfg.z)
     except ValueError as exc:
@@ -193,152 +194,47 @@ def cmd_green(cfg: RunConfig) -> tuple[int, str]:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_divisor_sum() -> list[dict]:
-    worst = 0.0
-    for D0 in (1, 5, -4, 8, -8, 12, -3, 13):
-        for f in (1, 2, 3, 4, 6, 12):
-            c = split_discriminant(0 if D0 * f * f % 4 == 0 else 1,
-                                   Fraction(D0 * f * f, 4))
-            lhs = sigma_gamma_m(c) * c.f ** 3
-            rhs = xi_twisted(c.D0, c.f)
-            if lhs != rhs:
-                worst = 1.0
-    return [{"label": "f^3 sigma = xi over sample grid",
-             "lhs": 0.0, "rhs": 0.0, "diff": worst}]
-
-
-def _check_cohen_dual() -> list[dict]:
-    worst, at = 0.0, ""
-    for n4 in range(1, 121):
-        if n4 % 4 not in (0, 1):
-            continue
-        c = split_discriminant(0 if n4 % 4 == 0 else 1, Fraction(n4, 4))
-        exact = float(cohen_H(c).value)
-        series = (-L_chi_2_series(c.D0, 1e-12) * c.D0 ** 1.5
-                  * xi_twisted(c.D0, c.f) / (2.0 * math.pi ** 2))
-        rel = abs(exact - series) / max(abs(exact), 1e-30)
-        if rel > worst:
-            worst, at = rel, f"4m={n4}"
-    return [{"label": f"Bernoulli vs L-series route, worst at {at}",
-             "lhs": 0.0, "rhs": 0.0, "diff": worst}]
-
-
-def _check_degree_dual(prec: Precision) -> list[dict]:
-    rows = []
-    c1 = split_discriminant(0, 1)
-    exact = heegner_degree_exact(c1)
-    rows.append({"label": "deg at m=1 equals 7/144 exactly",
-                 "lhs": float(exact), "rhs": 7.0 / 144.0,
-                 "diff": abs(float(exact - Fraction(7, 144)))})
-    worst, at = 0.0, ""
-    cases = [split_discriminant(0, m) for m in range(1, 13)]
-    cases += [split_discriminant(1, Fraction(n4, 4)) for n4 in range(1, 42, 4)]
-    for c in cases:
-        lhs = heegner_degree(c, prec)
-        rhs = float(heegner_degree_via_cohen(c))
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        if rel > worst:
-            worst, at = rel, f"(gamma={c.gamma}, m={c.m})"
-    rows.append({"label": f"coefficient vs class-number route, worst at {at}",
-                 "lhs": 0.0, "rhs": 0.0, "diff": worst})
-    return rows
-
-
-def _check_orbit_reduction(prec: Precision) -> list[dict]:
-    rows = []
-    for a in (0.5, 2.0):
-        i3 = I3_plus(a / FOUR_PI, 1.0, prec).value
-        jp = J_plus(1.5, a, prec).value / 3.0
-        rows.append({"label": f"I3_plus = J_plus/3 at a={a}",
-                     "lhs": i3, "rhs": jp, "diff": abs(i3 - jp)})
-    return rows
-
-
-def _check_orbit_negative(prec: Precision) -> list[dict]:
-    a = 1.0
-    i3 = I3_minus(a / FOUR_PI, -1.0, prec).value
-    jm = J_minus(1.5, a, prec).value * math.exp(-a) / 3.0
-    return [{"label": "I3_minus = e^{-|a|} J_minus/3 at a=1",
-             "lhs": i3, "rhs": jm, "diff": abs(i3 - jm)}]
-
-
-def _check_green_integral(prec: Precision) -> list[dict]:
-    rows = []
-    for m in (1, 2, -1):
-        c = split_discriminant(0, m)
-        for a in (1.0, 2.0):
-            v = a / (FOUR_PI * abs(m))
-            rep = theorem2_check(c, v, prec)
-            rows.append({"label": f"(4/B) I vs Eisenstein side, m={m}, a={a}",
-                         "lhs": rep.lhs, "rhs": rep.rhs, "diff": rep.rel_diff})
-    return rows
-
-
-def _check_majorant() -> list[dict]:
+def _siegel_samples() -> list[SiegelPoint]:
     rng = np.random.RandomState(7)
-    worst = 0.0
+    points = []
     for _ in range(20):
         y1, y3 = rng.uniform(0.5, 2.0, size=2)
         y2 = rng.uniform(-0.9, 0.9) * math.sqrt(y1 * y3)
         x1, x2, x3 = rng.uniform(-2.0, 2.0, size=3)
-        z = SiegelPoint(complex(x1, y1), complex(x2, y2), complex(x3, y3))
-        P = majorant_gram(z)
-        resid = float(np.max(np.abs(P @ GRAM_Q_INV @ P - GRAM_Q)))
-        worst = max(worst, resid)
-    return [{"label": "Siegel condition P Q^-1 P = Q, 20 sampled z",
-             "lhs": 0.0, "rhs": 0.0, "diff": worst}]
+        points.append(SiegelPoint(complex(x1, y1), complex(x2, y2), complex(x3, y3)))
+    return points
 
 
-def _check_volumes(prec: Precision) -> list[dict]:
-    rows = []
-    catalan = 0.0
-    sign = 1.0
-    for k in range(20001):
-        catalan += sign / (2 * k + 1) ** 2
-        sign = -sign
-    v13 = humbert_V13(-4, prec).value
-    rows.append({"label": "V_{1,3}(-4) = Catalan/3",
-                 "lhs": v13, "rhs": catalan / 3.0,
-                 "diff": abs(v13 - catalan / 3.0) / (catalan / 3.0)})
-    hv = hirzebruch_vol(5, 1)
-    rows.append({"label": "Hirzebruch volume (5, f=1) = 1/15 exactly",
-                 "lhs": float(hv.exact_part), "rhs": 1.0 / 15.0,
-                 "diff": abs(float(hv.exact_part - Fraction(1, 15)))})
-    v22 = V22(5)
-    via_L = 5.0 ** 1.5 * L_chi_2_functional(5) / 3.0
-    rows.append({"label": "V_{2,2}(5) dual routes",
-                 "lhs": v22.value, "rhs": via_L,
-                 "diff": abs(v22.value - via_L) / abs(via_L)})
-    return rows
-
-
-def _check_zeta_fe() -> list[dict]:
-    worst, at = 0.0, ""
-    for dK in (5, 8, 13):
-        exact = float(zeta_K_minus1(dK))
-        zeta2 = math.pi ** 2 / 6.0
-        zk2 = zeta2 * L_chi_2_series(dK, 1e-12)
-        resid = abs(exact - zk2 * dK ** 1.5 / (4.0 * math.pi ** 4))
-        if resid > worst:
-            worst, at = resid, f"dK={dK}"
-    return [{"label": f"zeta_K(-1) = zeta_K(2) d^{{3/2}}/(4 pi^4), worst at {at}",
-             "lhs": 0.0, "rhs": 0.0, "diff": worst}]
-
-
+# name -> prec -> rows; each entry fixes the grid of one checks.* criterion.
 _VERIFY_CHECKS = {
-    "divisor-sum-exact": lambda prec: _check_divisor_sum(),
-    "cohen-dual-route": lambda prec: _check_cohen_dual(),
-    "degree-dual-route": _check_degree_dual,
-    "orbit-integral-reduction": _check_orbit_reduction,
-    "orbit-integral-negative-convention": _check_orbit_negative,
-    "green-integral-identity": _check_green_integral,
-    "majorant-siegel-condition": lambda prec: _check_majorant(),
-    "volume-spot-values": _check_volumes,
-    "zeta-functional-equation": lambda prec: _check_zeta_fe(),
+    "divisor-sum-exact": lambda prec: checks.divisor_sum(
+        (D0, f) for D0 in (1, 5, -4, 8, -8, 12, -3, 13)
+        for f in (1, 2, 3, 4, 6, 12)),
+    "cohen-dual-route": lambda prec: checks.cohen_dual(
+        (n4 for n4 in range(1, 121) if n4 % 4 in (0, 1)), 1e-12),
+    "degree-dual-route": lambda prec: checks.degree_dual(
+        [split_discriminant(0, m) for m in range(1, 13)]
+        + [split_discriminant(1, Fraction(n4, 4)) for n4 in range(1, 42, 4)],
+        prec),
+    "orbit-integral-reduction": lambda prec: checks.orbit_plus((0.5, 2.0), prec),
+    "orbit-integral-negative-convention":  # int a, so the label reads a=1
+        lambda prec: checks.orbit_minus((1,), prec),
+    "green-integral-identity": lambda prec: checks.green_integral(
+        (1, 2, -1), (1.0, 2.0), prec),
+    "majorant-siegel-condition":
+        lambda prec: checks.siegel_condition(_siegel_samples()),
+    "volume-spot-values": lambda prec: checks.volume_spot_values(
+        sum(sign / (2 * k + 1) ** 2
+            for k, sign in zip(range(20001), (1.0, -1.0) * 10001)),
+        L_chi_2_functional(5), prec),
+    "zeta-functional-equation":
+        lambda prec: checks.zeta_functional_equation((5, 8, 13), 1e-12),
 }
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
+    if not cfg.tol >= 0:
+        return EXIT_USAGE, "error: tol must be nonnegative\n"
     names = list(_VERIFY_CHECKS)
     if cfg.only is not None:
         if cfg.only not in _VERIFY_CHECKS:
@@ -347,11 +243,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
         names = [cfg.only]
     prec = Precision()
     rows = []
-    any_fail = False
     for name in names:
         for res in _VERIFY_CHECKS[name](prec):
             status = "PASS" if res["diff"] <= cfg.tol else "FAIL"
-            any_fail = any_fail or status == "FAIL"
             rows.append({
                 "name": name,
                 "label": res["label"],
@@ -363,10 +257,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     inputs = {"tol": _json_float(cfg.tol), "only": cfg.only}
     columns = ["name", "label", "lhs", "rhs", "diff", "status"]
     text = _render(cfg, inputs, "checks", rows, columns)
+    n_fail = sum(r["status"] == "FAIL" for r in rows)
     if cfg.output_format == "text":
-        n_fail = sum(r["status"] == "FAIL" for r in rows)
         text += f"{len(rows) - n_fail}/{len(rows)} checks passed\n"
-    return (EXIT_VERIFY_FAIL if any_fail else EXIT_OK), text
+    return (EXIT_VERIFY_FAIL if n_fail else EXIT_OK), text
 
 
 # ---------------------------------------------------------------------------
@@ -410,26 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command,
-                    output_format=args.output_format,
-                    output_path=args.output_path)
-    if args.command == "coeff":
-        cfg.gamma = args.gamma
-        cfg.m_from = args.m_from
-        cfg.m_to = args.m_to
+    opts = vars(_build_parser().parse_args(argv))
+    if opts["command"] == "green":
+        opts["z"] = (opts.pop("z1"), opts.pop("z2"), opts.pop("z3"))
+    cfg = RunConfig(**opts)
+    if cfg.command == "coeff":
         code, text = cmd_coeff(cfg)
-    elif args.command == "green":
-        cfg.z = (args.z1, args.z2, args.z3)
-        cfg.m = args.m
-        cfg.gamma = args.gamma
-        cfg.v = args.v
-        cfg.radius = args.radius
-        cfg.tol = args.tol
+    elif cfg.command == "green":
         code, text = cmd_green(cfg)
     else:
-        cfg.only = args.only
-        cfg.tol = args.tol
         code, text = cmd_verify(cfg)
     _emit(text, cfg)
     return code

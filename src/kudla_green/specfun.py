@@ -69,11 +69,11 @@ class Precision:
     tail_cut: float = 46.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be positive")
-        if self.tail_cut <= 0:
+        if not self.tail_cut > 0:
             raise ValueError("tail_cut must be positive")
 
 

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
+from kudla_green import cli
 from kudla_green.cli import main
+from kudla_green.specfun import Precision
 
 GREEN_ARGS = ["green", "--z1", "0.1+1.1i", "--z2", "0.2+0.15i",
               "--z3=-0.3+1.3i", "--m", "1", "--gamma", "0",
@@ -155,6 +158,47 @@ def test_verify_only_exact_check(capsys):
     checks = json.loads(out)["checks"]
     assert len(checks) == 1
     assert checks[0]["diff"] == 0.0
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_green_bad_tol_exit_2(capsys, tol):
+    code, out = run_cli(capsys, *GREEN_ARGS, f"--tol={tol}")
+    assert code == 2
+    assert out == "error: tol must be positive\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_bad_tol_exit_2(capsys, tol):
+    code, out = run_cli(capsys, "verify", "--only", "divisor-sum-exact",
+                        f"--tol={tol}")
+    assert code == 2
+    assert out == "error: tol must be nonnegative\n"
+
+
+@pytest.mark.parametrize("name,route", [
+    ("cohen-dual-route", "L_chi_2_series"),
+    ("zeta-functional-equation", "L_chi_2_series"),
+    ("degree-dual-route", "heegner_degree"),
+])
+def test_verify_nan_route_fails(capsys, monkeypatch, name, route):
+    monkeypatch.setattr(f"kudla_green.checks.{route}", lambda *args: math.nan)
+    code, out = run_cli(capsys, "verify", "--only", name)
+    assert code == 1
+    assert "FAIL" in out
+
+
+def test_verify_registry_contract():
+    # perfbench wraps these entries by name and calls each as prec -> rows
+    assert list(cli._VERIFY_CHECKS) == [
+        "divisor-sum-exact", "cohen-dual-route", "degree-dual-route",
+        "orbit-integral-reduction", "orbit-integral-negative-convention",
+        "green-integral-identity", "majorant-siegel-condition",
+        "volume-spot-values", "zeta-functional-equation"]
+    for check in cli._VERIFY_CHECKS.values():
+        rows = check(Precision())
+        assert rows
+        for row in rows:
+            assert set(row) == {"label", "lhs", "rhs", "diff"}
 
 
 def test_verify_unknown_check_exit_2(capsys):

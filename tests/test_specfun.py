@@ -21,6 +21,10 @@ def test_precision_validation():
         Precision(max_subdivisions=0)
     with pytest.raises(ValueError):
         Precision(tail_cut=-1.0)
+    with pytest.raises(ValueError):
+        Precision(abs_tol=math.nan)
+    with pytest.raises(ValueError):
+        Precision(tail_cut=math.nan)
 
 
 def test_engine_on_smooth_integrand():
