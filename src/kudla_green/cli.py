@@ -69,8 +69,10 @@ def _fmt15(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _json_float(x: float) -> float:
-    return float(_fmt15(x))
+def _json_float(x: float) -> float | str:
+    """x to 15 digits; the string ("inf", "nan") where JSON has no number."""
+    y = float(_fmt15(x))
+    return y if math.isfinite(y) else _fmt15(x)
 
 
 def _parse_complex(text: str) -> complex:
@@ -99,7 +101,8 @@ def _render(cfg: RunConfig, inputs: dict, key: str, rows: list[dict],
             columns: list[str]) -> str:
     if cfg.output_format == "json":
         payload = {"command": cfg.command, "inputs": inputs, key: rows}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     if cfg.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

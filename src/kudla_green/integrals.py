@@ -131,18 +131,6 @@ def kudla_integral(c: CaseIndex, v: float, prec: Precision = Precision()) -> flo
     return pref * vols * orbit
 
 
-@lru_cache(maxsize=None)
-def _frozen_normalization_cached(abs_tol: float, max_subdivisions: int,
-                                 tail_cut: float) -> float:
-    prec = Precision(abs_tol=abs_tol, max_subdivisions=max_subdivisions,
-                     tail_cut=tail_cut)
-    c1 = split_discriminant(0, 1)
-    v1 = 1.0 / FOUR_PI  # a = 4 pi m v = 1
-    lhs_raw = 4.0 / float(constant_B()) * kudla_integral(c1, v1, prec)
-    rhs = abs(coefficient_C(c1, prec)) * J_plus(1.5, 1.0, prec).value
-    return rhs / lhs_raw
-
-
 def frozen_normalization(prec: Precision = Precision()) -> float:
     """Measure normalization fixed once at (m, a) = (1, 1) and then reused.
 
@@ -150,8 +138,16 @@ def frozen_normalization(prec: Precision = Precision()) -> float:
     still measured, frozen and applied, so any normalization drift would
     surface as a multi-point failure instead of being calibrated away.
     """
-    return _frozen_normalization_cached(prec.abs_tol, prec.max_subdivisions,
-                                        prec.tail_cut)
+    return _frozen_normalization_at(prec)
+
+
+@lru_cache(maxsize=None)
+def _frozen_normalization_at(prec: Precision) -> float:
+    c1 = split_discriminant(0, 1)
+    v1 = 1.0 / FOUR_PI  # a = 4 pi m v = 1
+    lhs_raw = 4.0 / float(constant_B()) * kudla_integral(c1, v1, prec)
+    rhs = abs(coefficient_C(c1, prec)) * J_plus(1.5, 1.0, prec).value
+    return rhs / lhs_raw
 
 
 def theorem2_check(c: CaseIndex, v: float, prec: Precision = Precision(),

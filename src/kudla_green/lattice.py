@@ -18,16 +18,16 @@ a = 4 pi m v, and no factors of 2 float around: the Green function is
 
     Xi(gamma, m, v, z) = sum_{u in L(gamma, m)} beta_1(2 pi v R(x(u), z)).
 
-Enumeration under a majorant bound runs LLL basis reduction followed by
-Fincke-Pohst recursive coordinate bounding.  `enumerate_bounded` scans every
-coordinate over its range; the Green function enumerates the shell
-qhat(u) = 4m directly, solving the integer quadratic qhat(T w) = 4m for the
-innermost reduced coordinate instead of scanning it, so only shell points
-leave the enumeration.  Either way every point the enumeration yields is
-accepted or rejected by re-evaluating the canonical quadratic form
-`majorant_value`, so a brute-force box scan using the same function (and,
-for the Green function, the same qhat = 4m test) reproduces the output
-exactly.
+Enumeration under a majorant bound runs LLL basis reduction followed by one
+Fincke-Pohst search for the u inside the ellipsoid with u^T Q u = target,
+which solves that integer quadratic for the innermost reduced coordinate
+instead of scanning it.  The Green function takes Q = qhat and target 4m, so
+only shell points leave the enumeration; `enumerate_bounded` takes the zero
+form and target 0, for which every coordinate in range is a root: the plain
+ellipsoid.  Every point the enumeration yields is accepted or rejected by
+re-evaluating the canonical quadratic form `majorant_value`, so a
+brute-force box scan using the same function (and, for the Green function,
+the same qhat = 4m test) reproduces the output exactly.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ _QHAT = np.array([[0, 0, 0, 0, -2],
                   [0, 0, 1, 0, 0],
                   [0, -2, 0, 0, 0],
                   [-2, 0, 0, 0, 0]])
+_ZERO_FORM = np.zeros((5, 5), dtype=np.int64)
 
 
 class SingularPointError(ValueError):
@@ -157,25 +158,20 @@ def majorant_value(P: np.ndarray, u) -> float:
 
 
 def _lll_transform(P: np.ndarray, delta: float = 0.75) -> np.ndarray:
-    """Unimodular T with T^T P T LLL-reduced (P symmetric positive definite)."""
+    """Unimodular T with T^T P T LLL-reduced (P symmetric positive definite).
+
+    The Gram-Schmidt data of the basis T come from the Cholesky factor L of
+    T^T P T: mu_ij = L_ij / L_jj and |b*_i|^2 = L_ii^2.
+    """
     n = P.shape[0]
-    B = np.linalg.cholesky(P).T  # columns B[:, i] span the lattice
     T = np.eye(n, dtype=np.int64)
 
-    def gso(Bm):
-        Bstar = np.zeros_like(Bm)
-        mu = np.zeros((n, n))
-        norms = np.zeros(n)
-        for i in range(n):
-            v = Bm[:, i].copy()
-            for j in range(i):
-                mu[i, j] = float(Bm[:, i] @ Bstar[:, j]) / norms[j]
-                v -= mu[i, j] * Bstar[:, j]
-            Bstar[:, i] = v
-            norms[i] = float(v @ v)
-        return mu, norms
+    def gso():
+        L = np.linalg.cholesky(T.T @ P @ T)
+        d = np.diag(L)
+        return L / d, d * d
 
-    mu, norms = gso(B)
+    mu, norms = gso()
     k = 1
     for _ in range(2000):
         if k >= n:
@@ -183,15 +179,13 @@ def _lll_transform(P: np.ndarray, delta: float = 0.75) -> np.ndarray:
         for j in range(k - 1, -1, -1):
             q = round(mu[k, j])
             if q:
-                B[:, k] -= q * B[:, j]
                 T[:, k] -= q * T[:, j]
-                mu, norms = gso(B)
+                mu, norms = gso()
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
             T[:, [k - 1, k]] = T[:, [k, k - 1]]
-            mu, norms = gso(B)
+            mu, norms = gso()
             k = max(k - 1, 1)
     return T
 
@@ -223,23 +217,22 @@ def _shell_roots(a: int, b: int, c: int, lo: int, hi: int):
 
 
 def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
-                  form: list[list[int]] | None = None,
-                  target: int = 0) -> tuple[list[tuple[int, ...]], int]:
-    """Nonzero integer w with w^T P w <= limit (P positive definite), and
+                  form: list[list[int]],
+                  target: int) -> tuple[list[tuple[int, ...]], int]:
+    """Nonzero integer w with w^T P w <= limit (P positive definite) and
+    w^T Q w = target for the integer symmetric `form` Q (nested lists), and
     the number of search-tree nodes visited.
 
     Recursive coordinate bounding on the Cholesky factor, with a small
     relative slack so boundary points are never pruned by roundoff;
     callers re-filter with the canonical form.  A node is one prefix
-    (w_{i+1}, ..., w_{n-1}) whose range for w_i is computed.
-
-    Given an integer symmetric `form` Q (nested lists) and a `target`, only
-    the w with w^T Q w = target are yielded.  At each node
+    (w_{i+1}, ..., w_{n-1}) whose range for w_i is computed.  At each node
     w^T Q w = Q_ii w_i^2 + b w_i + qtail over w_i, ..., w_{n-1}, with
     b = 2 sum_{j>i} Q_ij w_j, so the innermost w_0 is not scanned over its
     range but solved for exactly (`_shell_roots`); each root passes the
-    same range and slack tests as a scanned w_0.  `cap` bounds the points
-    yielded.
+    same range and slack tests as a scanned w_0.  The zero form with
+    target 0 makes every w_0 in range a root: the whole ellipsoid.  `cap`
+    bounds the points yielded.
     """
     n = P.shape[0]
     R = np.linalg.cholesky(P).T.tolist()
@@ -260,31 +253,26 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
         rii = R[i][i]
         lo = math.ceil((-rad - t) / rii - 1e-12)
         hi = math.floor((rad - t) / rii + 1e-12)
-        wis = range(lo, hi + 1)
-        if form is not None:
-            row = form[i]
-            b = 0
-            for j in range(i + 1, n):
-                b += row[j] * w[j]
-            b *= 2
-            if i == 0:
-                wis = _shell_roots(row[0], b, qtail - target, lo, hi)
+        row = form[i]
+        b = 0
+        for j in range(i + 1, n):
+            b += row[j] * w[j]
+        b *= 2
+        wis = (_shell_roots(row[0], b, qtail - target, lo, hi) if i == 0
+               else range(lo, hi + 1))
         for wi in wis:
             s = rii * wi + t
             rem = remaining - s * s
             if rem < -slack:
                 continue
             w[i] = wi
-            if i == 0:
-                if any(w):
-                    out.append(tuple(w))
-                    if len(out) > cap:
-                        raise EnumerationCapError(
-                            f"more than {cap} lattice points below the bound")
-            elif form is None:
-                descend(i - 1, rem, 0)
-            else:
+            if i > 0:
                 descend(i - 1, rem, qtail + wi * (row[i] * wi + b))
+            elif any(w):
+                out.append(tuple(w))
+                if len(out) > cap:
+                    raise EnumerationCapError(
+                        f"more than {cap} lattice points below the bound")
         w[i] = 0
 
     descend(n - 1, budget, 0)
@@ -292,22 +280,20 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
 
 
 def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
-                    form: np.ndarray | None = None,
+                    form: np.ndarray = _ZERO_FORM,
                     target: int = 0) -> tuple[list[tuple[int, ...]], int]:
-    """Nonzero u with majorant_value(P, u) <= bound, sorted lexicographically,
+    """Nonzero u with majorant_value(P, u) <= bound and u^T Q u = target
+    for the integer `form` Q (in u coordinates), sorted lexicographically,
     and the Fincke-Pohst node count.
 
-    With an integer `form` Q (in u coordinates) and `target`, only the u
-    with u^T Q u = target: the enumeration runs on the reduced form
-    T^T Q T and solves for its innermost coordinate.
+    The enumeration runs on the reduced form T^T Q T and solves for its
+    innermost coordinate; the default zero form keeps the whole ellipsoid.
     """
     T = _lll_transform(P)
     P_red = T.T @ P @ T
     P_red = 0.5 * (P_red + P_red.T)
-    form_red = None
-    if form is not None:
-        T_obj = T.astype(object)  # exact Python-int products
-        form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
+    T_obj = T.astype(object)  # exact Python-int products
+    form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
     points, nodes = _fincke_pohst(P_red, 2.0 * bound, cap, form_red, target)
     found = []
     for wt in points:

@@ -19,10 +19,11 @@ the fast series / continued-fraction evaluator `exp_e1`, which is itself
 cross-checked against the quadrature route and the classical power series
 in the tests.
 
-The upper integration limit policy: a Precision with `tail_cut = c` places
-the window edge at c e-folding lengths of the integrand's exponential
-decay, then doubles it until the analytic tail bound drops below half the
-tolerance budget.
+The truncation policy has one home, `_truncated`.  Each integral gives it a
+start window T0 at c = Precision.tail_cut e-folding lengths of its decay
+(1 + c/x for beta_s, c/a for J_pm, asinh(sqrt(c/a)) for I3_pm), a growth
+factor (x2, or x1.5 for I3_pm) and its analytic tail bound; the window grows
+until that bound is at most half the tolerance.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class QuadratureResult:
     evaluations: int
 
     def __post_init__(self):
-        if self.err_estimate < 0:
+        if not self.err_estimate >= 0:
             raise ValueError("err_estimate must be nonnegative")
 
 
@@ -188,16 +189,6 @@ def adaptive_quadrature(f, a: float, b: float, prec: Precision,
     return QuadratureResult(value=value, err_estimate=err, evaluations=evals)
 
 
-def _geometric_seeds(a: float, b: float, first: float) -> list[float]:
-    """Cut points a + first, a + 2*first, ... doubling up to b."""
-    seeds = []
-    step = first
-    while a + step < b and len(seeds) < 200:
-        seeds.append(a + step)
-        step *= 2.0
-    return seeds
-
-
 # ---------------------------------------------------------------------------
 # Fast exponential integral E1 (series + continued fraction)
 # ---------------------------------------------------------------------------
@@ -257,30 +248,44 @@ def exp_e1(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The one-dimensional integrals
+# The five integrals (I3_pm: inner r-integral in closed form, beta_1)
 # ---------------------------------------------------------------------------
+
+def _truncated(f, lo: float, T: float, grow: float, tail_at, first,
+               prec: Precision) -> QuadratureResult:
+    """int_lo^oo f as a quadrature on [lo, T] plus an analytic tail bound.
+
+    T grows by the factor `grow` until tail_at(T) <= abs_tol / 2; cut points
+    lo + first(T) 2^k (at most 200) split the window, and the tail is added
+    to the error estimate.
+    """
+    tail = tail_at(T)
+    while tail > 0.5 * prec.abs_tol:
+        T *= grow
+        tail = tail_at(T)
+    seeds, step = [], first(T)
+    while lo + step < T and len(seeds) < 200:
+        seeds.append(lo + step)
+        step *= 2.0
+    return adaptive_quadrature(f, lo, T, prec, tail_bound=tail, seeds=seeds)
+
 
 def beta_s(s: float, x: float, prec: Precision = Precision()) -> QuadratureResult:
     """beta_s(x) = int_1^oo e^{-x t} t^{-s} dt; beta_1 is the exponential integral E1.
 
     Tail: for T >= 1 and s >= 0, int_T^oo e^{-xt} t^{-s} dt <= e^{-xT}/x.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be >= 0")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    T = 1.0 + prec.tail_cut / x
-    tail = math.exp(-x * T) / x
-    while tail > 0.5 * prec.abs_tol:
-        T *= 2.0
-        tail = math.exp(-x * T) / x
+    if not 0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
 
     def integrand(t: float) -> float:
         return math.exp(-x * t) * t ** (-s)
 
-    seeds = _geometric_seeds(1.0, T, first=min(1.0, 1.0 / x))
-    return adaptive_quadrature(integrand, 1.0, T, prec, tail_bound=tail,
-                               seeds=seeds)
+    return _truncated(integrand, 1.0, 1.0 + prec.tail_cut / x, 2.0,
+                      lambda T: math.exp(-x * T) / x,
+                      lambda T: min(1.0, 1.0 / x), prec)
 
 
 def J_plus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResult:
@@ -293,22 +298,18 @@ def J_plus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResul
     """
     if not 0 < s <= 2:
         raise ValueError("J_plus implemented for 0 < s <= 2")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    T = prec.tail_cut / a
-    tail = s * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a))
-    while tail > 0.5 * prec.abs_tol:
-        T *= 2.0
-        tail = s * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a))
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
 
     def integrand(w: float) -> float:
         if w == 0.0:
             return s
         return math.exp(-a * w) * math.expm1(s * math.log1p(w)) / w
 
-    seeds = _geometric_seeds(0.0, T, first=min(0.5, 0.5 / a))
-    return adaptive_quadrature(integrand, 0.0, T, prec, tail_bound=tail,
-                               seeds=seeds)
+    return _truncated(
+        integrand, 0.0, prec.tail_cut / a, 2.0,
+        lambda T: s * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a)),
+        lambda T: min(0.5, 0.5 / a), prec)
 
 
 def J_minus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResult:
@@ -319,25 +320,16 @@ def J_minus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResu
     """
     if not 0 < s <= 2:
         raise ValueError("J_minus implemented for 0 < s <= 2")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    T = max(1.0, prec.tail_cut / a)
-    tail = math.exp(-a * T) * (T / a + 1.0 / (a * a))
-    while tail > 0.5 * prec.abs_tol:
-        T *= 2.0
-        tail = math.exp(-a * T) * (T / a + 1.0 / (a * a))
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
 
     def integrand(w: float) -> float:
         return math.exp(-a * w) * w ** s / (w + 1.0)
 
-    seeds = _geometric_seeds(0.0, T, first=min(0.5, 0.5 / a))
-    return adaptive_quadrature(integrand, 0.0, T, prec, tail_bound=tail,
-                               seeds=seeds)
+    return _truncated(integrand, 0.0, max(1.0, prec.tail_cut / a), 2.0,
+                      lambda T: math.exp(-a * T) * (T / a + 1.0 / (a * a)),
+                      lambda T: min(0.5, 0.5 / a), prec)
 
-
-# ---------------------------------------------------------------------------
-# The double integrals (inner r-integral in closed form: beta_1)
-# ---------------------------------------------------------------------------
 
 def I3_plus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
     """Positive-index orbit integral, depending on (v, m) only through a = 4 pi m v.
@@ -349,31 +341,24 @@ def I3_plus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
     (using cosh^2 = 1 + sinh^2 <= 2 sinh^2 there).
     """
     m = float(m)
-    if v <= 0 or m <= 0:
-        raise ValueError("need v > 0 and m > 0")
+    if not (0 < v < math.inf and 0 < m < math.inf):
+        raise ValueError("need finite v > 0 and m > 0")
     a = FOUR_PI * (m * v)
-    T = max(1.0, math.asinh(math.sqrt(prec.tail_cut / a)))
+
     def tail_at(t: float) -> float:
         sh = math.sinh(t)
         return math.exp(-a * sh * sh) / (a * a * sh)
-    tail = tail_at(T)
-    while tail > 0.5 * prec.abs_tol:
-        T *= 1.5
-        tail = tail_at(T)
 
     def integrand(t: float) -> float:
         if t == 0.0:
             return 0.0
         sh = math.sinh(t)
         ch = math.cosh(t)
-        arg = a * sh * sh
-        if arg > 700.0:
-            return 0.0
-        return exp_e1(arg) * sh * ch * ch
+        return exp_e1(a * sh * sh) * sh * ch * ch
 
-    seeds = _geometric_seeds(0.0, T, first=T / 256.0)
-    return adaptive_quadrature(integrand, 0.0, T, prec, tail_bound=tail,
-                               seeds=seeds)
+    T0 = max(1.0, math.asinh(math.sqrt(prec.tail_cut / a)))
+    return _truncated(integrand, 0.0, T0, 1.5, tail_at,
+                      lambda T: T / 256.0, prec)
 
 
 def I3_minus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
@@ -386,29 +371,22 @@ def I3_minus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
     t >= T >= 1: int_T^oo <= e^{-a} e^{-a sinh^2 T} / (2 a^2 sinh T).
     """
     m = float(m)
-    if v <= 0 or m >= 0:
-        raise ValueError("need v > 0 and m < 0")
+    if not (0 < v < math.inf and -math.inf < m < 0):
+        raise ValueError("need finite v > 0 and m < 0")
     a = FOUR_PI * (abs(m) * v)
-    T = max(1.0, math.asinh(math.sqrt(prec.tail_cut / a)))
+
     def tail_at(t: float) -> float:
         sh = math.sinh(t)
         return math.exp(-a) * math.exp(-a * sh * sh) / (2.0 * a * a * sh)
-    tail = tail_at(T)
-    while tail > 0.5 * prec.abs_tol:
-        T *= 1.5
-        tail = tail_at(T)
 
     def integrand(t: float) -> float:
         sh = math.sinh(t)
         ch = math.cosh(t)
-        arg = a * ch * ch
-        if arg > 700.0:
-            return 0.0
-        return exp_e1(arg) * sh * sh * ch
+        return exp_e1(a * ch * ch) * sh * sh * ch
 
-    seeds = _geometric_seeds(0.0, T, first=T / 64.0)
-    return adaptive_quadrature(integrand, 0.0, T, prec, tail_bound=tail,
-                               seeds=seeds)
+    T0 = max(1.0, math.asinh(math.sqrt(prec.tail_cut / a)))
+    return _truncated(integrand, 0.0, T0, 1.5, tail_at,
+                      lambda T: T / 64.0, prec)
 
 
 def resolve_I3_minus_convention(a: float = 1.0,

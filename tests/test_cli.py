@@ -175,16 +175,41 @@ def test_verify_bad_tol_exit_2(capsys, tol):
     assert out == "error: tol must be nonnegative\n"
 
 
-@pytest.mark.parametrize("name,route", [
+NAN_ROUTES = [
     ("cohen-dual-route", "L_chi_2_series"),
     ("zeta-functional-equation", "L_chi_2_series"),
     ("degree-dual-route", "heegner_degree"),
-])
+]
+
+
+@pytest.mark.parametrize("name,route", NAN_ROUTES)
 def test_verify_nan_route_fails(capsys, monkeypatch, name, route):
     monkeypatch.setattr(f"kudla_green.checks.{route}", lambda *args: math.nan)
     code, out = run_cli(capsys, "verify", "--only", name)
     assert code == 1
     assert "FAIL" in out
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_json_strict_with_infinite_tol(capsys):
+    code, out = run_cli(capsys, "--format", "json", "verify", "--only",
+                        "divisor-sum-exact", "--tol", "inf")
+    assert code == 0
+    assert _strict_json(out)["inputs"]["tol"] == "inf"
+
+
+@pytest.mark.parametrize("name,route", NAN_ROUTES)
+def test_verify_json_strict_with_nan_diff(capsys, monkeypatch, name, route):
+    monkeypatch.setattr(f"kudla_green.checks.{route}", lambda *args: math.nan)
+    code, out = run_cli(capsys, "--format", "json", "verify", "--only", name)
+    assert code == 1
+    rows = _strict_json(out)["checks"]
+    assert any(r["diff"] == "nan" and r["status"] == "FAIL" for r in rows)
 
 
 def test_verify_registry_contract():

@@ -8,7 +8,8 @@ import pytest
 from kudla_green.arith import split_discriminant
 from kudla_green.eisenstein import coefficient_C, coefficient_c0
 from kudla_green.integrals import (CASE_I_PREFACTOR, CASE_II_PREFACTOR,
-                                   TheoremReport, corollary_check,
+                                   TheoremReport, _frozen_normalization_at,
+                                   corollary_check,
                                    frozen_normalization, heegner_degree,
                                    heegner_degree_exact,
                                    heegner_degree_via_cohen, ibk_integral,
@@ -69,6 +70,18 @@ def test_kudla_integral_positive_and_decaying():
 
 def test_frozen_normalization_close_to_one():
     assert frozen_normalization(PREC) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_frozen_normalization_cached_per_precision():
+    frozen_normalization()
+    before = _frozen_normalization_at.cache_info()
+    # the default and an equal Precision share one entry ...
+    assert frozen_normalization(Precision()) == frozen_normalization()
+    mid = _frozen_normalization_at.cache_info()
+    assert (mid.hits, mid.misses) == (before.hits + 2, before.misses)
+    # ... and any differing field is a different key
+    frozen_normalization(Precision(tail_cut=47.0))
+    assert _frozen_normalization_at.cache_info().misses == before.misses + 1
 
 
 def test_assembled_volume_sum_matches_divisor_sum():

@@ -322,6 +322,35 @@ def _first_reduced_column_isotropic(z):
     return LatticeVector(*(int(x) for x in col)).qhat == 0
 
 
+def _gram_schmidt(G):
+    """mu and |b*_i|^2 of the basis with Gram matrix G, by the textbook
+    recursion <b_i, b*_j> = G_ij - sum_{k<j} mu_jk mu_ik |b*_k|^2."""
+    n = len(G)
+    mu, norms = np.eye(n), np.zeros(n)
+    for i in range(n):
+        for j in range(i):
+            dot = G[i, j] - sum(mu[j, k] * mu[i, k] * norms[k]
+                                for k in range(j))
+            mu[i, j] = dot / norms[j]
+        norms[i] = G[i, i] - sum(mu[i, k] ** 2 * norms[k] for k in range(i))
+    return mu, norms
+
+
+def test_lll_transform_contract():
+    for z in [Z_GENERIC] + _scan_points(40, seed=2):
+        for P in (majorant_gram(z), _half_gram(z)):
+            T = _lll_transform(P)
+            assert np.issubdtype(T.dtype, np.integer)
+            assert abs(abs(np.linalg.det(T)) - 1.0) < 1e-9
+            mu, norms = _gram_schmidt(T.T @ P @ T)
+            for i in range(5):
+                for j in range(i):
+                    assert abs(mu[i, j]) <= 0.5 + 1e-9, (z, i, j)
+            for k in range(1, 5):
+                lovasz = (0.75 - mu[k, k - 1] ** 2) * norms[k - 1]
+                assert norms[k] >= lovasz - 1e-9 * norms[k - 1], (z, k)
+
+
 def test_green_shell_matches_full_ellipsoid():
     rng = np.random.RandomState(11)
     ms = [(0, 1), (1, Fraction(5, 4)), (0, 2), (0, 3), (1, Fraction(9, 4)),

@@ -5,9 +5,10 @@ import math
 import pytest
 
 from kudla_green.specfun import (EULER_GAMMA, FOUR_PI, I3_minus, I3_plus,
-                                 J_minus, J_plus, Precision, ToleranceError,
-                                 adaptive_quadrature, beta_s, e1_series,
-                                 exp_e1, resolve_I3_minus_convention)
+                                 J_minus, J_plus, Precision, QuadratureResult,
+                                 ToleranceError, adaptive_quadrature, beta_s,
+                                 e1_series, exp_e1,
+                                 resolve_I3_minus_convention)
 
 PREC = Precision()
 
@@ -213,3 +214,28 @@ def test_I3_argument_validation():
         I3_minus(1.0, 1.0, PREC)
     with pytest.raises(ValueError):
         I3_plus(0.0, 1.0, PREC)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda b: beta_s(1.0, b, PREC),
+    lambda b: J_plus(1.5, b, PREC),
+    lambda b: J_minus(1.5, b, PREC),
+    lambda b: I3_plus(b, 1.0, PREC),
+    lambda b: I3_plus(1.0, b, PREC),
+    lambda b: I3_minus(b, -1.0, PREC),
+    lambda b: I3_minus(1.0, -b, PREC),
+], ids=["beta_s-x", "J_plus-a", "J_minus-a", "I3_plus-v", "I3_plus-m",
+        "I3_minus-v", "I3_minus-m"])
+def test_non_finite_argument_is_refused(call, bad):
+    # refused by the argument check itself, not by a later guard
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
+
+
+def test_nan_order_and_nan_error_are_refused():
+    for fn in (beta_s, J_plus, J_minus):
+        with pytest.raises(ValueError):
+            fn(math.nan, 1.0, PREC)
+    with pytest.raises(ValueError):
+        QuadratureResult(value=1.0, err_estimate=math.nan, evaluations=15)
