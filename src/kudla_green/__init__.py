@@ -12,9 +12,8 @@ enumeration, and the Humbert/Hilbert/Siegel covolume formulas.
 from .arith import (CaseIndex, L_chi_2, L_chi_2_series, bernoulli_L_minus1,
                     is_fundamental_discriminant, kronecker_chi, sigma3,
                     sigma_gamma_m, split_discriminant, xi_twisted)
-from .eisenstein import (CohenNumber, EisensteinValue, coefficient_C,
-                         coefficient_c0, coefficient_c0_prime, cohen_H,
-                         eisenstein_value, kudla_A)
+from .eisenstein import (coefficient_C, coefficient_c0, coefficient_c0_prime,
+                         cohen_H, kudla_A)
 from .geometry import (AmbientVector, SiegelPoint, embed_u,
                        humbert_discriminant, majorant_R, majorant_gram, psi)
 from .integrals import (TheoremReport, corollary_check, frozen_normalization,
@@ -26,9 +25,8 @@ from .lattice import (EnumerationCapError, GreenEvaluation, LatticeVector,
                       orbit_representative, primitive_decomposition)
 from .specfun import (EULER_GAMMA, I3_minus, I3_plus, J_minus, J_plus,
                       Precision, QuadratureResult, ToleranceError, beta_s,
-                      e1_series, exp_e1, resolve_I3_minus_convention)
-from .volumes import (SiegelSpace, V22, VolumeConvention, VolumeValue,
-                      constant_B, hirzebruch_vol, humbert_V13, vol_sie,
-                      zeta_K_minus1)
+                      e1_series, exp_e1)
+from .volumes import (V22, VolumeConvention, VolumeValue, constant_B,
+                      hirzebruch_vol, humbert_V13, vol_sie, zeta_K_minus1)
 
 __version__ = "0.1.0"

@@ -55,18 +55,25 @@ __all__ = [
 class CaseIndex:
     """Component/index data for one Fourier coefficient or Heegner divisor.
 
-    gamma       -- coset component, 0 (m integral) or 1 (m in Z + 1/4)
-    m           -- the index, a nonzero rational with 4m in Z
-    delta_gamma -- 1 for gamma = 0, 4 for gamma = 1
-    D0          -- fundamental discriminant with D0 * f**2 = 4m
-    f           -- conductor-like part of the split, f >= 1
+    gamma -- coset component, 0 (m integral) or 1 (m in Z + 1/4)
+    m     -- the index, a nonzero rational with 4m in Z
+    D0    -- fundamental discriminant with D0 * f**2 = 4m
+    f     -- conductor-like part of the split, f >= 1
+
+    The constructor enforces these invariants (ValueError otherwise), so
+    the (gamma, m) pair alone fixes D0 and f; `split_discriminant` finds
+    them.
     """
 
     gamma: int
     m: Fraction
-    delta_gamma: int
     D0: int
     f: int
+
+    @property
+    def delta_gamma(self) -> int:
+        """1 for gamma = 0, 4 for gamma = 1."""
+        return 1 if self.gamma == 0 else 4
 
     @property
     def discriminant(self) -> int:
@@ -74,12 +81,27 @@ class CaseIndex:
         return self.D0 * self.f * self.f
 
     def __post_init__(self):
-        if self.gamma not in (0, 1):
-            raise ValueError(f"gamma must be 0 or 1, got {self.gamma}")
-        if self.delta_gamma != (1 if self.gamma == 0 else 4):
-            raise ValueError("delta_gamma inconsistent with gamma")
+        _check_index(self.gamma, self.m)
+        if self.f < 1:
+            raise ValueError(f"f must be >= 1, got {self.f}")
+        if not is_fundamental_discriminant(self.D0):
+            raise ValueError(f"D0 = {self.D0} is not fundamental")
         if self.D0 * self.f * self.f != 4 * self.m:
             raise ValueError("split invariant D0*f^2 = 4m violated")
+
+
+def _check_index(gamma: int, m: Fraction) -> None:
+    """ValueError unless m != 0 lies in the coset of gamma in (1/4)Z."""
+    if m == 0:
+        raise ValueError("m = 0 has no discriminant split")
+    if gamma == 0:
+        if m.denominator != 1:
+            raise ValueError(f"gamma=0 requires integral m, got {m}")
+    elif gamma == 1:
+        if (m - Fraction(1, 4)).denominator != 1:
+            raise ValueError(f"gamma=1 requires m in Z + 1/4, got {m}")
+    else:
+        raise ValueError(f"gamma must be 0 or 1, got {gamma}")
 
 
 def kronecker_chi(D: int, n: int) -> int:
@@ -153,28 +175,13 @@ def split_discriminant(gamma: int, m) -> CaseIndex:
     Z + 1/4.  Works for negative m (then D0 < 0).
     """
     m = Fraction(m)
-    if m == 0:
-        raise ValueError("m = 0 has no discriminant split")
-    if gamma == 0:
-        if m.denominator != 1:
-            raise ValueError(f"gamma=0 requires integral m, got {m}")
-    elif gamma == 1:
-        if (m - Fraction(1, 4)).denominator != 1:
-            raise ValueError(f"gamma=1 requires m in Z + 1/4, got {m}")
-    else:
-        raise ValueError(f"gamma must be 0 or 1, got {gamma}")
-    N = 4 * m
-    assert N.denominator == 1
-    N = int(N)
-    s, t = _squarefree_part(N)
+    _check_index(gamma, m)
+    s, t = _squarefree_part(int(4 * m))
     if s % 4 == 1:
         D0, f = s, t
     else:
-        assert t % 2 == 0, "discriminant split failed; N not a discriminant"
         D0, f = 4 * s, t // 2
-    assert is_fundamental_discriminant(D0)
-    return CaseIndex(gamma=gamma, m=m, delta_gamma=1 if gamma == 0 else 4,
-                     D0=D0, f=f)
+    return CaseIndex(gamma=gamma, m=m, D0=D0, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +305,7 @@ def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
     """
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
-    if abs_tol <= 0:
+    if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
     if D0 == 1:
         N = 4000

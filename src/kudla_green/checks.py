@@ -66,7 +66,7 @@ def cohen_dual(indices: Iterable[int], series_tol: float) -> list[dict]:
     """Exact H(2, 4m) against the L(2, chi) series route, worst relative diff."""
     def rel(n4: int) -> tuple[float, str]:
         c = _case(n4)
-        exact = float(cohen_H(c).value)
+        exact = float(cohen_H(c))
         series = (-L_chi_2_series(c.D0, series_tol) * c.D0 ** 1.5
                   * xi_twisted(c.D0, c.f) / (2.0 * math.pi ** 2))
         return abs(exact - series) / max(abs(exact), 1e-30), f"4m={n4}"

@@ -139,7 +139,6 @@ def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
         indices = _coeff_indices(cfg)
     except ValueError as exc:
         return EXIT_USAGE, f"error: {exc}\n"
-    prec = Precision(abs_tol=min(cfg.tol, 1e-10))
     rows = []
     for c in indices:
         rows.append({
@@ -147,9 +146,9 @@ def cmd_coeff(cfg: RunConfig) -> tuple[int, str]:
             "m": str(c.m),
             "D0": c.D0,
             "f": c.f,
-            "H": str(cohen_H(c).value),
-            "C": _json_float(coefficient_C(c, prec)),
-            "deg": _json_float(heegner_degree(c, prec)),
+            "H": str(cohen_H(c)),
+            "C": _json_float(coefficient_C(c)),
+            "deg": _json_float(heegner_degree(c)),
         })
     inputs = {"gamma": cfg.gamma, "m_from": cfg.m_from, "m_to": cfg.m_to}
     columns = ["gamma", "m", "D0", "f", "H", "C", "deg"]

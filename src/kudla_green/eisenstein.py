@@ -19,7 +19,6 @@ throughout: no formula for it is available at this level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, sigma_gamma_m,
@@ -27,8 +26,6 @@ from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, sigma_gamma_m,
 from .specfun import FOUR_PI, J_minus, J_plus, Precision
 
 __all__ = [
-    "EisensteinValue",
-    "CohenNumber",
     "COHEN_H_AT_ZERO",
     "ZETA_MINUS_3_INVERSE",
     "KUDLA_CONSTANT_TERM",
@@ -39,7 +36,6 @@ __all__ = [
     "coefficient_C_exact",
     "coefficient_c0",
     "coefficient_c0_prime",
-    "eisenstein_value",
 ]
 
 # constant term of the half-normalized two-component series, and the
@@ -51,36 +47,16 @@ COHEN_H_AT_ZERO = Fraction(1, 120)
 _C_FRONT = -(2 ** 6) * 3 * 5  # -960
 
 
-@dataclass(frozen=True)
-class EisensteinValue:
-    """Bundle of the coefficient data at one (gamma, m, v).
-
-    a always carries the sign of m; c0 vanishes for m < 0.
-    """
-
-    C: float
-    c0: float
-    a: float
-    kappa: float | None = None
-
-
-@dataclass(frozen=True)
-class CohenNumber:
-    value: Fraction
-    m4: int
-
-
-def cohen_H(c: CaseIndex) -> CohenNumber:
+def cohen_H(c: CaseIndex) -> Fraction:
     """Cohen number H(2, 4m) = L(-1, chi_{D0}) xi(D0, f), exact; needs m > 0."""
     if c.m <= 0:
         raise ValueError("the class-number route requires m > 0")
-    value = bernoulli_L_minus1(c.D0) * xi_twisted(c.D0, c.f)
-    return CohenNumber(value=value, m4=c.discriminant)
+    return bernoulli_L_minus1(c.D0) * xi_twisted(c.D0, c.f)
 
 
 def kudla_A(c: CaseIndex) -> Fraction:
     """Coefficient A(m, v) = 120 H(2, 4m) of the half-normalized series (m > 0)."""
-    return ZETA_MINUS_3_INVERSE * cohen_H(c).value
+    return ZETA_MINUS_3_INVERSE * cohen_H(c)
 
 
 def coefficient_C_prefactor(c: CaseIndex) -> Fraction:
@@ -91,8 +67,6 @@ def coefficient_C_prefactor(c: CaseIndex) -> Fraction:
 
 def coefficient_C(c: CaseIndex, prec: Precision = Precision()) -> float:
     """C(gamma, m, 0) = -960 pi^{-2} |m|^{3/2} L(2, chi_{D0}) sigma_{gamma,m}(5/2)."""
-    if c.m == 0:
-        raise ValueError("m must be nonzero")
     L2 = L_chi_2(c.D0, prec.abs_tol)
     return (float(coefficient_C_prefactor(c)) * abs(float(c.m)) ** 1.5
             * L2 / math.pi ** 2)
@@ -134,14 +108,3 @@ def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float,
         return C * math.exp(-0.5 * a) * (J_plus(1.5, a, prec).value + kappa)
     a = abs(a)
     return C * math.exp(-0.5 * a) * J_minus(1.5, a, prec).value
-
-
-def eisenstein_value(c: CaseIndex, v: float, kappa: float | None = None,
-                     prec: Precision = Precision()) -> EisensteinValue:
-    """Assemble the EisensteinValue bundle at (gamma, m, v)."""
-    return EisensteinValue(
-        C=coefficient_C(c, prec),
-        c0=coefficient_c0(c, v, prec),
-        a=FOUR_PI * float(c.m) * v,
-        kappa=kappa,
-    )

@@ -39,7 +39,7 @@ from .eisenstein import (cohen_H, coefficient_C, coefficient_C_exact,
 from .lattice import primitive_decomposition
 from .specfun import (EULER_GAMMA, FOUR_PI, I3_minus, I3_plus, J_minus,
                       J_plus, Precision)
-from .volumes import SiegelSpace, constant_B, vol_sie
+from .volumes import constant_B, vol_sie
 
 __all__ = [
     "TheoremReport",
@@ -66,7 +66,6 @@ class TheoremReport:
 
     lhs: float
     rhs: float
-    inputs: tuple
     route_labels: tuple[str, str]
 
     @property
@@ -100,7 +99,7 @@ def heegner_degree_exact(c: CaseIndex) -> Fraction | None:
 
 def heegner_degree_via_cohen(c: CaseIndex) -> Fraction:
     """Independent class-number route: deg = -(1/12) H(2, 4m), exact."""
-    return -Fraction(1, 12) * cohen_H(c).value
+    return -Fraction(1, 12) * cohen_H(c)
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +115,14 @@ def kudla_integral(c: CaseIndex, v: float, prec: Precision = Precision()) -> flo
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    if c.m == 0:
-        raise ValueError("m must be nonzero")
     layers = primitive_decomposition(c)
     if c.m > 0:
         pref = CASE_I_PREFACTOR
-        space = SiegelSpace.D22
         orbit = I3_plus(v, float(c.m), prec).value
     else:
         pref = CASE_II_PREFACTOR
-        space = SiegelSpace.D13
         orbit = I3_minus(v, float(c.m), prec).value
-    vols = sum(vol_sie(cn, space, prec).value for _, cn in layers)
+    vols = sum(vol_sie(cn, prec).value for _, cn in layers)
     return pref * vols * orbit
 
 
@@ -150,8 +145,8 @@ def _frozen_normalization_at(prec: Precision) -> float:
     return rhs / lhs_raw
 
 
-def theorem2_check(c: CaseIndex, v: float, prec: Precision = Precision(),
-                   frozen: float | None = None) -> TheoremReport:
+def theorem2_check(c: CaseIndex, v: float,
+                   prec: Precision = Precision()) -> TheoremReport:
     """Compare (4/B) I(gamma, m, v) against the Eisenstein side.
 
     lhs: (4/|B|) * frozen * kudla_integral (positive); rhs magnitude:
@@ -160,9 +155,8 @@ def theorem2_check(c: CaseIndex, v: float, prec: Precision = Precision(),
     route labels (lhs is +, the Eisenstein side is C < 0 times a positive
     factor, consistent with the analytic sign of B).
     """
-    if frozen is None:
-        frozen = frozen_normalization(prec)
-    lhs = 4.0 / float(constant_B()) * frozen * kudla_integral(c, v, prec)
+    lhs = (4.0 / float(constant_B()) * frozen_normalization(prec)
+           * kudla_integral(c, v, prec))
     a = FOUR_PI * abs(float(c.m)) * v
     C = coefficient_C(c, prec)
     if c.m > 0:
@@ -174,7 +168,6 @@ def theorem2_check(c: CaseIndex, v: float, prec: Precision = Precision(),
     return TheoremReport(
         lhs=abs(lhs),
         rhs=abs(rhs_signed),
-        inputs=(c, v),
         route_labels=(f"(4/|B|) I(gamma, m, v) [sign {'+' if lhs >= 0 else '-'}]",
                       f"{rhs_label} [sign {'+' if rhs_signed >= 0 else '-'}]"),
     )
@@ -217,7 +210,7 @@ def corollary_check(c: CaseIndex, v: float, kappa: float, star: float,
     lhs = coefficient_c0_prime(c, v, kappa, prec)
     rhs = _corollary_rhs(c, v, kappa, star, prec)
     return TheoremReport(
-        lhs=lhs, rhs=rhs, inputs=(c, v, kappa, star),
+        lhs=lhs, rhs=rhs,
         route_labels=("c0'(gamma, m, 0, v)",
                       "e^{-a/2} (4/B)(I - I_counterpart) + star * c0"),
     )

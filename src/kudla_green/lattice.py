@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 SINGULAR_R_THRESHOLD = 1e-14
+_LLL_DELTA = 0.75  # Lovasz constant of the basis reduction
 
 
 def _x_of(u) -> tuple:
@@ -157,7 +158,7 @@ def majorant_value(P: np.ndarray, u) -> float:
     return 0.5 * float(v @ P @ v)
 
 
-def _lll_transform(P: np.ndarray, delta: float = 0.75) -> np.ndarray:
+def _lll_transform(P: np.ndarray) -> np.ndarray:
     """Unimodular T with T^T P T LLL-reduced (P symmetric positive definite).
 
     The Gram-Schmidt data of the basis T come from the Cholesky factor L of
@@ -181,7 +182,7 @@ def _lll_transform(P: np.ndarray, delta: float = 0.75) -> np.ndarray:
             if q:
                 T[:, k] -= q * T[:, j]
                 mu, norms = gso()
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             T[:, [k - 1, k]] = T[:, [k, k - 1]]
@@ -305,7 +306,6 @@ def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
 
 
 def enumerate_bounded(z: SiegelPoint, bound: float,
-                      prec: Precision = Precision(),
                       cap: int = 2_000_000) -> list[LatticeVector]:
     """Nonzero integer vectors u with (1/2) u^T P_z u <= bound.
 
@@ -347,8 +347,6 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         raise ValueError("v must be positive and finite")
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
-    if c.m == 0:
-        raise ValueError("m must be nonzero")
     fourm = int(4 * c.m)
     P = majorant_gram(z)
     psi_c, two_eta2 = _psi_coeffs(z), 2.0 * z.eta2
@@ -391,8 +389,6 @@ def primitive_decomposition(c: CaseIndex) -> list[tuple[int, CaseIndex]]:
     the layer follows the parity of that discriminant, so even n flips a
     gamma = 0 index into the gamma = 1 class.  n = 1 is always present.
     """
-    if c.m == 0:
-        raise ValueError("m must be nonzero")
     out = []
     for n in divisors(c.f):
         disc = c.discriminant // (n * n)

@@ -20,10 +20,11 @@ cross-checked against the quadrature route and the classical power series
 in the tests.
 
 The truncation policy has one home, `_truncated`.  Each integral gives it a
-start window T0 at c = Precision.tail_cut e-folding lengths of its decay
+start window T0 at c = _START_EFOLDS (46) e-folding lengths of its decay
 (1 + c/x for beta_s, c/a for J_pm, asinh(sqrt(c/a)) for I3_pm), a growth
 factor (x2, or x1.5 for I3_pm) and its analytic tail bound; the window grows
-until that bound is at most half the tolerance.
+until that bound is at most half the tolerance, so the constant only sets
+where the search starts.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ __all__ = [
     "J_minus",
     "I3_plus",
     "I3_minus",
-    "resolve_I3_minus_convention",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
 
 FOUR_PI = 4.0 * math.pi
+
+# start window edge of `_truncated`, in e-folding lengths of the decay
+_START_EFOLDS = 46.0
+# term cap of the E1 power series; at x = 30 the last term is ~1e-24
+_E1_SERIES_TERMS = 120
 
 
 class ToleranceError(RuntimeError):
@@ -61,21 +66,17 @@ class Precision:
     """Quadrature/truncation contract.
 
     abs_tol          -- absolute tolerance on the returned value
-    max_subdivisions -- panel-split budget for the adaptive scheme
-    tail_cut         -- window edge in e-folding lengths of the decay
+    max_subdivisions -- panel-split budget for the adaptive scheme, finite
     """
 
     abs_tol: float = 1e-10
     max_subdivisions: int = 4000
-    tail_cut: float = 46.0
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
-        if not self.tail_cut > 0:
-            raise ValueError("tail_cut must be positive")
+        if not 1 <= self.max_subdivisions < math.inf:
+            raise ValueError("max_subdivisions must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -193,17 +194,19 @@ def adaptive_quadrature(f, a: float, b: float, prec: Precision,
 # Fast exponential integral E1 (series + continued fraction)
 # ---------------------------------------------------------------------------
 
-def e1_series(x: float, terms: int = 120) -> float:
+def e1_series(x: float) -> float:
     """E1(x) by the classical power series -gamma - ln x + sum (-1)^{k+1} x^k/(k k!).
 
-    Converges for all x > 0; numerically sound for x <= ~30.  This is the
-    stated independent oracle for beta_1.
+    Converges for all finite x > 0, but cancellation costs absolute accuracy
+    as x grows: the error is ~5e-13 at x = 15, ~2e-10 at x = 20 and ~6e-6 at
+    x = 30, where E1 itself is 3e-15.  This is the stated independent oracle
+    for beta_1 on small x; `exp_e1` uses it below x = 1.5 only.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     total = 0.0
     term = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, _E1_SERIES_TERMS + 1):
         term *= -x / k
         delta = -term / k
         total += delta
@@ -238,7 +241,7 @@ def _e1_cf(x: float) -> float:
 
 def exp_e1(x: float) -> float:
     """Fast E1(x) = beta_1(x), series below x = 1.5 and continued fraction above."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
     if x < 1.5:
         return e1_series(x)
@@ -283,7 +286,7 @@ def beta_s(s: float, x: float, prec: Precision = Precision()) -> QuadratureResul
     def integrand(t: float) -> float:
         return math.exp(-x * t) * t ** (-s)
 
-    return _truncated(integrand, 1.0, 1.0 + prec.tail_cut / x, 2.0,
+    return _truncated(integrand, 1.0, 1.0 + _START_EFOLDS / x, 2.0,
                       lambda T: math.exp(-x * T) / x,
                       lambda T: min(1.0, 1.0 / x), prec)
 
@@ -307,7 +310,7 @@ def J_plus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResul
         return math.exp(-a * w) * math.expm1(s * math.log1p(w)) / w
 
     return _truncated(
-        integrand, 0.0, prec.tail_cut / a, 2.0,
+        integrand, 0.0, _START_EFOLDS / a, 2.0,
         lambda T: s * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a)),
         lambda T: min(0.5, 0.5 / a), prec)
 
@@ -326,7 +329,7 @@ def J_minus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResu
     def integrand(w: float) -> float:
         return math.exp(-a * w) * w ** s / (w + 1.0)
 
-    return _truncated(integrand, 0.0, max(1.0, prec.tail_cut / a), 2.0,
+    return _truncated(integrand, 0.0, max(1.0, _START_EFOLDS / a), 2.0,
                       lambda T: math.exp(-a * T) * (T / a + 1.0 / (a * a)),
                       lambda T: min(0.5, 0.5 / a), prec)
 
@@ -356,7 +359,7 @@ def I3_plus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
         ch = math.cosh(t)
         return exp_e1(a * sh * sh) * sh * ch * ch
 
-    T0 = max(1.0, math.asinh(math.sqrt(prec.tail_cut / a)))
+    T0 = max(1.0, math.asinh(math.sqrt(_START_EFOLDS / a)))
     return _truncated(integrand, 0.0, T0, 1.5, tail_at,
                       lambda T: T / 256.0, prec)
 
@@ -366,8 +369,8 @@ def I3_minus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
 
         int_0^oo beta_1(a cosh^2 t) sinh^2 t cosh t dt,   a = 4 pi |m| v.
 
-    This quadrature is the arbiter for the e^{+-|a|} prefactor of the
-    reduction to J_minus; see `resolve_I3_minus_convention`.  Tail for
+    This quadrature is the arbiter for the e^{-|a|} prefactor of the
+    reduction to J_minus, which `checks.orbit_minus` compares.  Tail for
     t >= T >= 1: int_T^oo <= e^{-a} e^{-a sinh^2 T} / (2 a^2 sinh T).
     """
     m = float(m)
@@ -384,25 +387,6 @@ def I3_minus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
         ch = math.cosh(t)
         return exp_e1(a * ch * ch) * sh * sh * ch
 
-    T0 = max(1.0, math.asinh(math.sqrt(prec.tail_cut / a)))
+    T0 = max(1.0, math.asinh(math.sqrt(_START_EFOLDS / a)))
     return _truncated(integrand, 0.0, T0, 1.5, tail_at,
                       lambda T: T / 64.0, prec)
-
-
-def resolve_I3_minus_convention(a: float = 1.0,
-                                prec: Precision = Precision()) -> dict:
-    """Compare I3_minus against (1/3) e^{-+|a|} J_minus(3/2, |a|) for both signs.
-
-    Returns a dict with the quadrature value and the residual of each
-    candidate prefactor; the decaying convention e^{-|a|} is the one that
-    matches (the residual of the growing one is orders of magnitude off).
-    """
-    v = a / FOUR_PI
-    i3 = I3_minus(v, -1.0, prec).value
-    jm = J_minus(1.5, a, prec).value
-    return {
-        "a": a,
-        "i3_minus": i3,
-        "residual_decaying": abs(i3 - jm * math.exp(-a) / 3.0),
-        "residual_growing": abs(i3 - jm * math.exp(a) / 3.0),
-    }

@@ -31,7 +31,6 @@ from .specfun import Precision
 __all__ = [
     "VolumeConvention",
     "VolumeValue",
-    "SiegelSpace",
     "VOL_SO2",
     "VOL_SO3",
     "VOL_SO3_MOD_SO2",
@@ -52,11 +51,6 @@ class VolumeConvention(Enum):
     H2_UNIT = "H2_unit"
     H2_HG = "H2_HG"
     SIEGEL = "Siegel"
-
-
-class SiegelSpace(Enum):
-    D22 = "D22"
-    D13 = "D13"
 
 
 @dataclass(frozen=True)
@@ -121,26 +115,17 @@ def V22(dK: int) -> VolumeValue:
                        convention=VolumeConvention.H2_UNIT, pi_power=2)
 
 
-def vol_sie(c: CaseIndex, space: SiegelSpace,
-            prec: Precision = Precision()) -> VolumeValue:
+def vol_sie(c: CaseIndex, prec: Precision = Precision()) -> VolumeValue:
     """Stabilizer covolume in the Siegel normalization.
 
+    The sign of m picks the domain:
     D22 (m > 0):  (1/12) |D0|^{3/2} L(2, chi_{D0}) f^3 prod_{p|f}(1 - chi(p)/p^2)
     D13 (m < 0):  (1/24) |D0|^{3/2} L(2, chi_{D0}) f^3 prod_{p|f}(...)
 
     For D0 > 0 the pi^2 of L(2, chi) factors out exactly:
     value = exact_part * pi^2 with exact_part = (pref) * 2 |L(-1,chi)| f^3 prod.
     """
-    if space is SiegelSpace.D22:
-        if c.m <= 0:
-            raise ValueError("space D22 requires m > 0")
-        pref = Fraction(1, 12)
-    elif space is SiegelSpace.D13:
-        if c.m >= 0:
-            raise ValueError("space D13 requires m < 0")
-        pref = Fraction(1, 24)
-    else:
-        raise ValueError(f"unknown space {space!r}")
+    pref = Fraction(1, 12) if c.m > 0 else Fraction(1, 24)
     euler = euler_factor(c.D0, c.f)
     if c.D0 > 0:
         # |D0|^{3/2} L(2,chi) = -2 pi^2 L(-1,chi) exactly

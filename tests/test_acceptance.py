@@ -18,8 +18,7 @@ from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
 from kudla_green.integrals import frozen_normalization
 from kudla_green.lattice import (enumerate_bounded, majorant_value,
                                  orbit_representative)
-from kudla_green.specfun import (Precision, exp_e1,
-                                 resolve_I3_minus_convention)
+from kudla_green.specfun import Precision, exp_e1
 
 PREC = Precision()
 
@@ -67,9 +66,10 @@ def test_criterion_4_orbit_integral_reduction():
     t0 = time.time()
     grid = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     worst_plus = checks.worst_diff(checks.orbit_plus(grid, PREC))
-    # the quadrature picks the decaying prefactor ...
-    conv = resolve_I3_minus_convention(1.0, PREC)
-    assert conv["residual_decaying"] < conv["residual_growing"]
+    # the quadrature picks the decaying prefactor e^{-|a|} over e^{+|a|} ...
+    (at_one,) = checks.orbit_minus((1.0,), PREC)
+    growing = abs(at_one["lhs"] - at_one["rhs"] * math.exp(2.0))
+    assert at_one["diff"] < growing
     # ... and that convention then holds on the whole grid
     worst_minus = checks.worst_diff(checks.orbit_minus(grid, PREC))
     _report(4, f"orbit-integral reduction, worst |diff| +:{worst_plus:.1e} -:{worst_minus:.1e}",

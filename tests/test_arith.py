@@ -134,9 +134,23 @@ def test_split_round_trip_gamma1(M):
 
 def test_case_index_validates():
     with pytest.raises(ValueError):
-        CaseIndex(gamma=0, m=Fraction(1), delta_gamma=1, D0=1, f=3)
-    with pytest.raises(ValueError):
-        CaseIndex(gamma=0, m=Fraction(1), delta_gamma=4, D0=1, f=2)
+        CaseIndex(gamma=0, m=Fraction(1), D0=1, f=3)
+    assert CaseIndex(gamma=1, m=Fraction(5, 4), D0=5, f=1).delta_gamma == 4
+
+
+@pytest.mark.parametrize("gamma, m, D0, f, message", [
+    (0, Fraction(0), 1, 0, "m = 0"),
+    (2, Fraction(1), 1, 2, "gamma must be 0 or 1"),
+    (1, Fraction(1), 1, 2, "gamma=1 requires"),
+    (0, Fraction(1, 4), 1, 1, "gamma=0 requires"),
+    (0, Fraction(1), 1, -2, "f must be >= 1"),
+    (0, Fraction(1), 4, 1, "not fundamental"),
+    (0, Fraction(-1), 1, 2, "split invariant"),
+], ids=["m-zero", "gamma-2", "gamma1-integral-m", "gamma0-quarter-m",
+        "f-negative", "D0-not-fundamental", "split-wrong-sign"])
+def test_case_index_rejects_broken_invariant(gamma, m, D0, f, message):
+    with pytest.raises(ValueError, match=message):
+        CaseIndex(gamma, m, D0, f)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +236,12 @@ def test_L2_spot_values():
     catalan = 0.5 * (s0 + s1)
     assert abs(L_chi_2(-4) - catalan) < 1e-9
     assert abs(L_chi_2(5) - 4.0 * math.pi ** 2 * 5.0 ** -2.5) < 1e-12
+
+
+@pytest.mark.parametrize("D0", [1, -4])
+def test_L2_series_rejects_nan_tolerance(D0):
+    with pytest.raises(ValueError, match="abs_tol must be positive"):
+        L_chi_2_series(D0, math.nan)
 
 
 def test_L2_series_rejects_bad_input():

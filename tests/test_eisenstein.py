@@ -10,8 +10,7 @@ from kudla_green.eisenstein import (COHEN_H_AT_ZERO, KUDLA_CONSTANT_TERM,
                                     ZETA_MINUS_3_INVERSE, coefficient_C,
                                     coefficient_C_exact,
                                     coefficient_C_prefactor, coefficient_c0,
-                                    coefficient_c0_prime, cohen_H,
-                                    eisenstein_value, kudla_A)
+                                    coefficient_c0_prime, cohen_H, kudla_A)
 from kudla_green.specfun import FOUR_PI, J_minus, J_plus, Precision
 
 PREC = Precision()
@@ -24,17 +23,18 @@ def test_module_constants():
 
 
 def test_cohen_H_examples():
-    assert cohen_H(split_discriminant(0, 1)).value == Fraction(-7, 12)
-    assert cohen_H(split_discriminant(0, 2)).value == -1  # f = 1: just L(-1)
+    assert cohen_H(split_discriminant(0, 1)) == Fraction(-7, 12)
+    assert cohen_H(split_discriminant(0, 2)) == -1  # f = 1: just L(-1)
     # gamma = 1: the odd discriminant 4m = 5 has f = 1
-    assert cohen_H(split_discriminant(1, Fraction(5, 4))).value == Fraction(-2, 5)
-    assert cohen_H(split_discriminant(1, Fraction(45, 4))).value == \
+    assert cohen_H(split_discriminant(1, Fraction(5, 4))) == Fraction(-2, 5)
+    assert cohen_H(split_discriminant(1, Fraction(45, 4))) == \
         Fraction(-2, 5) * xi_twisted(5, 3)
 
 
 def test_cohen_H_carries_its_index():
-    assert cohen_H(split_discriminant(0, 3)).m4 == 12
-    assert cohen_H(split_discriminant(1, Fraction(45, 4))).m4 == 45
+    # H(2, N) takes the CaseIndex whose discriminant is N = 4m
+    assert split_discriminant(0, 3).discriminant == 12
+    assert split_discriminant(1, Fraction(45, 4)).discriminant == 45
 
 
 def test_cohen_H_rejects_nonpositive_m():
@@ -89,7 +89,7 @@ def test_cohen_H_functional_equation_expression():
         c = split_discriminant(0, m)
         want = (-L_chi_2(c.D0) * c.D0 ** 1.5 * xi_twisted(c.D0, c.f)
                 / (2.0 * math.pi ** 2))
-        assert float(cohen_H(c).value) == pytest.approx(want, rel=1e-9)
+        assert float(cohen_H(c)) == pytest.approx(want, rel=1e-9)
 
 
 def test_c0_vanishes_for_negative_index():
@@ -138,14 +138,3 @@ def test_c0_prime_negative_branch_ignores_kappa():
 def test_c0_prime_vanishes_for_large_a():
     c = split_discriminant(0, 1)
     assert abs(coefficient_c0_prime(c, 15.0, 0.0, PREC)) < 1e-9
-
-
-def test_eisenstein_value_bundle():
-    c = split_discriminant(0, 2)
-    ev = eisenstein_value(c, 0.5, kappa=0.3)
-    assert ev.a == pytest.approx(FOUR_PI)
-    assert ev.kappa == 0.3
-    assert ev.C == pytest.approx(coefficient_C(c, PREC))
-    assert ev.c0 == pytest.approx(coefficient_c0(c, 0.5, PREC))
-    evn = eisenstein_value(split_discriminant(0, -2), 0.5)
-    assert evn.c0 == 0.0 and evn.a < 0

@@ -27,7 +27,7 @@ def test_prefactors():
 
 
 def test_theorem_report_recomputes_diffs():
-    rep = TheoremReport(lhs=2.0, rhs=1.0, inputs=(), route_labels=("a", "b"))
+    rep = TheoremReport(lhs=2.0, rhs=1.0, route_labels=("a", "b"))
     assert rep.abs_diff == 1.0
     assert rep.rel_diff == 0.5
 
@@ -80,7 +80,7 @@ def test_frozen_normalization_cached_per_precision():
     mid = _frozen_normalization_at.cache_info()
     assert (mid.hits, mid.misses) == (before.hits + 2, before.misses)
     # ... and any differing field is a different key
-    frozen_normalization(Precision(tail_cut=47.0))
+    frozen_normalization(Precision(max_subdivisions=4001))
     assert _frozen_normalization_at.cache_info().misses == before.misses + 1
 
 
@@ -89,10 +89,10 @@ def test_assembled_volume_sum_matches_divisor_sum():
     # (1/6) |L(-1, chi)| f^3 sigma: the layer sum re-creates the divisor sum
     from kudla_green.arith import bernoulli_L_minus1, sigma_gamma_m
     from kudla_green.lattice import primitive_decomposition
-    from kudla_green.volumes import SiegelSpace, vol_sie
+    from kudla_green.volumes import vol_sie
     for m in (1, 2, 4, 5, 9, 12):
         c = split_discriminant(0, m)
-        total = sum(vol_sie(cn, SiegelSpace.D22, PREC).exact_part
+        total = sum(vol_sie(cn, PREC).exact_part
                     for _, cn in primitive_decomposition(c))
         want = Fraction(1, 6) * abs(bernoulli_L_minus1(c.D0)) \
             * c.f ** 3 * sigma_gamma_m(c)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kudla_green.arith import split_discriminant
+from kudla_green.arith import CaseIndex, split_discriminant
 from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
                                   majorant_gram)
 from kudla_green.lattice import (EnumerationCapError, LatticeVector,
@@ -149,6 +149,12 @@ def test_enumerate_symmetry_and_order():
 def test_enumerate_cap_guard():
     with pytest.raises(EnumerationCapError):
         enumerate_bounded(Z0, 40.0, cap=10)
+
+
+def test_green_function_gets_no_mismatched_index():
+    # the index is refused before green_function can sum its shell
+    with pytest.raises(ValueError, match="gamma=1 requires"):
+        green_function(CaseIndex(1, Fraction(1), 1, 2), 1.0, Z_GENERIC, 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from kudla_green.specfun import (EULER_GAMMA, FOUR_PI, I3_minus, I3_plus,
                                  J_minus, J_plus, Precision, QuadratureResult,
                                  ToleranceError, adaptive_quadrature, beta_s,
-                                 e1_series, exp_e1,
-                                 resolve_I3_minus_convention)
+                                 e1_series, exp_e1)
 
 PREC = Precision()
 
@@ -21,11 +20,14 @@ def test_precision_validation():
     with pytest.raises(ValueError):
         Precision(max_subdivisions=0)
     with pytest.raises(ValueError):
-        Precision(tail_cut=-1.0)
-    with pytest.raises(ValueError):
         Precision(abs_tol=math.nan)
-    with pytest.raises(ValueError):
-        Precision(tail_cut=math.nan)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_precision_rejects_non_finite_budget(budget):
+    # with no finite budget adaptive_quadrature would never give up
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        Precision(max_subdivisions=budget)
 
 
 def test_engine_on_smooth_integrand():
@@ -93,6 +95,18 @@ def test_beta_rejects_bad_arguments():
 @pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 1.4, 1.6, 2.0, 5.0, 10.0, 30.0])
 def test_exp_e1_matches_quadrature(x):
     assert abs(exp_e1(x) - beta_s(1.0, x, PREC).value) <= 2e-11
+
+
+@pytest.mark.parametrize("call, x", [(exp_e1, math.nan), (e1_series, math.nan),
+                                     (e1_series, math.inf)],
+                         ids=["exp_e1-nan", "e1_series-nan", "e1_series-inf"])
+def test_e1_refuses_nan_and_e1_series_inf(call, x):
+    with pytest.raises(ValueError):
+        call(x)
+
+
+def test_exp_e1_at_infinity_is_zero():
+    assert exp_e1(math.inf) == 0.0
 
 
 def test_exp_e1_series_crossover_is_smooth():
@@ -202,9 +216,11 @@ def test_I3_minus_positive_and_decaying():
 
 
 def test_I3_minus_prefactor_resolution():
-    res = resolve_I3_minus_convention(1.0, PREC)
-    assert res["residual_decaying"] < 1e-10
-    assert res["residual_growing"] > 1e-2
+    # at a = 1 the quadrature picks e^{-|a|} over e^{+|a|}
+    i3 = I3_minus(1.0 / FOUR_PI, -1.0, PREC).value
+    jm = J_minus(1.5, 1.0, PREC).value / 3.0
+    assert abs(i3 - jm * math.exp(-1.0)) < 1e-10
+    assert abs(i3 - jm * math.exp(1.0)) > 1e-2
 
 
 def test_I3_argument_validation():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from kudla_green.arith import L_chi_2_series, split_discriminant
+from kudla_green.arith import L_chi_2_series, euler_factor, split_discriminant
 from kudla_green.specfun import Precision
-from kudla_green.volumes import (B_ANALYTIC_SIGN, SiegelSpace, V22, VOL_SO2,
+from kudla_green.volumes import (B_ANALYTIC_SIGN, V22, VOL_SO2,
                                  VOL_SO3, VOL_SO3_MOD_SO2, ZETA_MINUS1,
                                  ZETA_MINUS3, VolumeConvention, constant_B,
                                  hirzebruch_vol, humbert_V13, vol_sie,
@@ -100,28 +100,32 @@ def test_V22_to_hirzebruch_conversion_constant():
 
 def test_vol_sie_positive_side():
     c1 = split_discriminant(0, 1)
-    v = vol_sie(c1, SiegelSpace.D22, PREC)
+    v = vol_sie(c1, PREC)
     assert v.convention is VolumeConvention.SIEGEL
     assert v.value == pytest.approx(math.pi ** 2 / 12.0, rel=1e-12)
     assert v.exact_part == Fraction(1, 12)
     c5 = split_discriminant(0, 5)
     want = (5.0 ** 1.5 * L_chi_2_series(5, 1e-11) * 8.0 * 1.25) / 12.0
-    assert vol_sie(c5, SiegelSpace.D22, PREC).value == pytest.approx(want, rel=1e-9)
+    assert vol_sie(c5, PREC).value == pytest.approx(want, rel=1e-9)
 
 
 def test_vol_sie_negative_side():
     cm = split_discriminant(0, -1)
-    v = vol_sie(cm, SiegelSpace.D13, PREC)
+    v = vol_sie(cm, PREC)
     # f = 1 negative side agrees with the hyperbolic-3-space covolume
     assert v.value == pytest.approx(humbert_V13(-4, PREC).value, rel=1e-12)
     assert v.exact_part is None
 
 
 def test_vol_sie_space_sign_mismatch():
-    with pytest.raises(ValueError):
-        vol_sie(split_discriminant(0, 1), SiegelSpace.D13, PREC)
-    with pytest.raises(ValueError):
-        vol_sie(split_discriminant(0, -1), SiegelSpace.D22, PREC)
+    # the sign of m picks the domain, so no call can name the wrong one:
+    # 1/12 on D22 (m > 0), 1/24 on D13 (m < 0), against the series oracle
+    for gamma, m, pref in ((0, 5, 12), (1, Fraction(5, 4), 12),
+                           (0, -3, 24), (1, Fraction(-7, 4), 24)):
+        c = split_discriminant(gamma, m)
+        want = (abs(c.D0) ** 1.5 * L_chi_2_series(c.D0, 1e-11) * c.f ** 3
+                * float(euler_factor(c.D0, c.f)) / pref)
+        assert vol_sie(c, PREC).value == pytest.approx(want, rel=1e-9), m
 
 
 def test_zeta_functional_equation():
@@ -134,7 +138,7 @@ def test_zeta_functional_equation():
 
 def test_exact_parts_consistent_with_values():
     cases = [hirzebruch_vol(5, 2), V22(8),
-             vol_sie(split_discriminant(0, 3), SiegelSpace.D22, PREC)]
+             vol_sie(split_discriminant(0, 3), PREC)]
     for v in cases:
         assert v.exact_part is not None
         assert abs(v.value - float(v.exact_part) * math.pi ** v.pi_power) <= \
