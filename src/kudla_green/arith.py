@@ -2,9 +2,11 @@
 
 Real quadratic characters (Kronecker symbols), divisor sums, discriminant
 splitting, generalized Bernoulli numbers, and the Dirichlet L-values that
-drive everything else: L(-1, chi) exactly and L(2, chi) both through the
-functional equation and through the direct series (kept as an independent
-oracle).
+drive everything else, each in about sqrt(|D0|) steps: B_{2,chi} and
+L(-1, chi) exactly from sums of five squares, L(2, chi) for D0 > 0 through
+the functional equation and for D0 < 0 through the theta functional
+equation with a certified tail.  The direct series `L_chi_2_series` is kept
+as an independent oracle; it calls neither fast route.
 
 Conventions
 -----------
@@ -26,6 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .specfun import exp_e1
 
 __all__ = [
     "CaseIndex",
@@ -56,7 +60,7 @@ class CaseIndex:
     """Component/index data for one Fourier coefficient or Heegner divisor.
 
     gamma -- coset component, 0 (m integral) or 1 (m in Z + 1/4)
-    m     -- the index, a nonzero rational with 4m in Z
+    m     -- the index, a nonzero int or Fraction with 4m in Z
     D0    -- fundamental discriminant with D0 * f**2 = 4m
     f     -- conductor-like part of the split, f >= 1
 
@@ -92,6 +96,8 @@ class CaseIndex:
 
 def _check_index(gamma: int, m: Fraction) -> None:
     """ValueError unless m != 0 lies in the coset of gamma in (1/4)Z."""
+    if not isinstance(m, (int, Fraction)):
+        raise ValueError(f"m must be an int or a Fraction, got {m!r}")
     if m == 0:
         raise ValueError("m = 0 has no discriminant split")
     if gamma == 0:
@@ -193,6 +199,11 @@ def factorize(n: int) -> dict:
     """Prime factorization of n >= 1 as a dict {p: e} (trial division)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return _trial_division(n)
+
+
+def _trial_division(n: int) -> dict:
+    """`factorize` without its memo."""
     out = {}
     for p in (2, 3):
         while n % p == 0:
@@ -269,21 +280,69 @@ def sigma_gamma_m(c: CaseIndex) -> Fraction:
 # Generalized Bernoulli numbers and L-values
 # ---------------------------------------------------------------------------
 
+def _sigma1(n: int) -> int:
+    """Sum of the divisors of n >= 1.
+
+    Factors with `_trial_division`: the memo of `factorize` has no size
+    limit, and B_{2,chi} would add ~2 sqrt(D0) entries to it per new D0.
+    """
+    out = 1
+    for p, e in _trial_division(n).items():
+        out *= (p ** (e + 1) - 1) // (p - 1)
+    return out
+
+
+def _r4(n: int) -> int:
+    """Number of representations of n >= 0 as a sum of four squares.
+
+    Jacobi: r4(n) = 8 sigma1(n) - 32 sigma1(n/4), the second term only when
+    4 | n, and r4(0) = 1.  That is 8 sigma1(n) for odd n and
+    24 sigma1(n') for even n = 2^a n' with n' odd.
+    """
+    if n == 0:
+        return 1
+    if n % 2:
+        return 8 * _sigma1(n)
+    return 24 * _sigma1(n >> ((n & -n).bit_length() - 1))
+
+
+def _cohen_H2_times_120(N: int) -> int:
+    """120 H(2, N) = r5(N) - 20 s(N) for N >= 0; zero at N = 2, 3 mod 4.
+
+    The generating series H_{5/2} = sum H(2, N) q^N lies in Kohnen's plus
+    space inside M_{5/2}(Gamma0(4)), which has dimension 2 and the basis
+    theta^5, theta F2 (F2 = sum_{n odd} sigma1(n) q^n); the coefficients of
+    q^0 and q^1 fix H_{5/2} = (theta^5 - 20 theta F2) / 120.
+    Coefficientwise, with n = N - k^2 over |k| <= isqrt N: r5(N) = sum r4(n)
+    and s(N) = sum sigma1(n) over the odd n, where r4(n) = 8 sigma1(n); so
+    an odd n adds r4(n) - 20 r4(n)/8 = -3 r4(n)/2.  (Cohen, Math. Ann. 217
+    (1975); Kohnen, Math. Ann. 248 (1980).)
+    """
+    total = 0
+    for k in range(math.isqrt(N) + 1):
+        n = N - k * k
+        r4 = _r4(n)
+        term = -3 * r4 // 2 if n % 2 else r4
+        total += 2 * term if k else term
+    return total
+
+
 @lru_cache(maxsize=None)
 def bernoulli_B2_chi(D0: int) -> Fraction:
     """Generalized Bernoulli number B_{2,chi} for chi = chi_{D0}.
 
-    Computed from the closed polynomial sum
-        B_{2,chi} = (1/F) sum_{a=1}^{F} chi(a) (a^2 - F a + F^2/6),  F = |D0|,
-    summed over the integers chi(a) (6 a^2 - 6 F a + F^2) and divided by 6F
-    once.  Exact; vanishes for odd characters (D0 < 0).
+    Exact, and 0 for odd characters (D0 < 0).  For D0 > 0,
+    B_{2,chi} = -2 L(-1, chi) = -2 H(2, D0) with H(2, D0) from sums of five
+    squares (`_cohen_H2_times_120`): about sqrt(D0) divisor sums instead of
+    the D0 Kronecker symbols of the character sum
+    (1/F) sum_{a=1}^{F} chi(a) (a^2 - F a + F^2/6), which the tests keep as
+    the oracle.
     """
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
-    F = abs(D0)
-    total = sum(kronecker_chi(D0, a) * (6 * a * a - 6 * F * a + F * F)
-                for a in range(1, F + 1))
-    return Fraction(total, 6 * F)
+    if D0 < 0:
+        return Fraction(0)
+    return Fraction(-_cohen_H2_times_120(D0), 60)
 
 
 def bernoulli_L_minus1(D0: int) -> Fraction:
@@ -338,8 +397,66 @@ def L_chi_2_functional(D0: int) -> float:
     return -2.0 * math.pi ** 2 * float(bernoulli_L_minus1(D0)) / D0 ** 1.5
 
 
+def _theta_L2_term(n: int, F: int) -> float:
+    """The n-th term of `_L_chi_2_theta`, chi(n) left out.
+
+    Gamma(3/2, x) / Gamma(3/2) = erfc(sqrt x) + 2 sqrt(x / pi) e^{-x}, so the
+    term is erfc(sqrt x) / n^2 + (2 / sqrt F) [e^{-x} / n + (pi n / F) E1(x)].
+    """
+    x = math.pi * n * n / F
+    return (math.erfc(math.sqrt(x)) / (n * n)
+            + 2.0 / math.sqrt(F) * (math.exp(-x) / n
+                                    + math.pi * n / F * exp_e1(x)))
+
+
+def _L_chi_2_theta(D0: int, abs_tol: float) -> float:
+    """L(2, chi_{D0}) for D0 < 0 from the theta functional equation.
+
+    The Mellin integral of theta_chi(t) = sum chi(n) n e^{-pi n^2 t / F},
+    F = |D0|, split at t = 1 (theta_chi(1/t) = t^{3/2} theta_chi(t), as a
+    real character has root number 1), gives
+        L(2, chi) = Gamma(3/2)^{-1} sum_n chi(n) [n^{-2} Gamma(3/2, x_n)
+                    + n (pi/F)^{3/2} E1(x_n)],  x_n = pi n^2 / F,
+    with Gamma(3/2, x) = sqrt(x) e^{-x} + (sqrt(pi)/2) erfc(sqrt x).  For
+    x > 1/2, Gamma(3/2, x) <= sqrt(x) e^{-x} / (1 - 1/(2x)) and
+    E1(x) <= e^{-x} / x, so term n is at most
+    (2 / sqrt F) n^{-1} e^{-x_n} [1/(1 - 1/(2 x_n)) + 1], and past n = N
+    each bound shrinks by at least e^{-2 pi (N+1) / F}.  The sum stops at
+    the first N whose geometric tail bound is <= abs_tol / 2; it has about
+    sqrt(F ln(1/abs_tol) / pi) terms.  (Davenport, Multiplicative Number
+    Theory, ch. 9.)
+    """
+    F = -D0
+    terms = []
+    N = 0
+    while True:
+        N += 1
+        chi = kronecker_chi(D0, N)
+        if chi:
+            terms.append(chi * _theta_L2_term(N, F))
+        x = math.pi * (N + 1) ** 2 / F
+        if x > 0.5:
+            bound = (2.0 / math.sqrt(F) / (N + 1) * math.exp(-x)
+                     * (1.0 / (1.0 - 0.5 / x) + 1.0))
+            # 1 - e^{-2 pi (N+1) / F}: the geometric series' denominator
+            gap = -math.expm1(-2.0 * math.pi * (N + 1) / F)
+            if bound / gap <= abs_tol / 2:
+                return math.fsum(terms)
+
+
 def L_chi_2(D0: int, abs_tol: float = 1e-12) -> float:
-    """L(2, chi_{D0}): functional equation for D0 > 0, series for D0 < 0."""
+    """L(2, chi_{D0}), D0 fundamental.
+
+    D0 > 0: the functional equation, from the exact B_{2,chi} (abs_tol is
+    not used).  D0 < 0: the theta functional equation `_L_chi_2_theta`,
+    whose truncation error is certified to be at most abs_tol / 2, with
+    about sqrt(|D0|) terms (the series oracle `L_chi_2_series` needs
+    ~sqrt(|D0| / abs_tol)).
+    """
     if D0 >= 1:
         return L_chi_2_functional(D0)
-    return L_chi_2_series(D0, abs_tol)
+    if not is_fundamental_discriminant(D0):
+        raise ValueError(f"D0 = {D0} is not fundamental")
+    if not abs_tol > 0:
+        raise ValueError("abs_tol must be positive")
+    return _L_chi_2_theta(D0, abs_tol)

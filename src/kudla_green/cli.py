@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks
-from .arith import CaseIndex, L_chi_2_functional, split_discriminant
+from .arith import CaseIndex, L_chi_2_series, split_discriminant
 from .eisenstein import coefficient_C, cohen_H
 from .geometry import SiegelPoint
 from .integrals import heegner_degree
@@ -228,7 +228,7 @@ _VERIFY_CHECKS = {
     "volume-spot-values": lambda prec: checks.volume_spot_values(
         sum(sign / (2 * k + 1) ** 2
             for k, sign in zip(range(20001), (1.0, -1.0) * 10001)),
-        L_chi_2_functional(5), prec),
+        L_chi_2_series(5, 1e-11), prec),
     "zeta-functional-equation":
         lambda prec: checks.zeta_functional_equation((5, 8, 13), 1e-12),
 }

@@ -1,12 +1,14 @@
 """Exact arithmetic layer: characters, splits, divisor sums, L-values."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kudla_green import arith
 from kudla_green.arith import (CaseIndex, L_chi_2, L_chi_2_functional,
                                L_chi_2_series, bernoulli_B2_chi,
                                bernoulli_L_minus1, divisors,
@@ -146,8 +148,9 @@ def test_case_index_validates():
     (0, Fraction(1), 1, -2, "f must be >= 1"),
     (0, Fraction(1), 4, 1, "not fundamental"),
     (0, Fraction(-1), 1, 2, "split invariant"),
+    (0, 1.0, 1, 2, "m must be an int or a Fraction"),
 ], ids=["m-zero", "gamma-2", "gamma1-integral-m", "gamma0-quarter-m",
-        "f-negative", "D0-not-fundamental", "split-wrong-sign"])
+        "f-negative", "D0-not-fundamental", "split-wrong-sign", "m-float"])
 def test_case_index_rejects_broken_invariant(gamma, m, D0, f, message):
     with pytest.raises(ValueError, match=message):
         CaseIndex(gamma, m, D0, f)
@@ -249,3 +252,87 @@ def test_L2_series_rejects_bad_input():
         L_chi_2_series(9)
     with pytest.raises(ValueError):
         L_chi_2_series(5, 0.0)
+
+
+def test_L2_rejects_nan_tolerance_for_odd_characters():
+    with pytest.raises(ValueError, match="abs_tol must be positive"):
+        L_chi_2(-4, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# Sublinear routes against their O(|D0|) oracles
+# ---------------------------------------------------------------------------
+
+CATALAN = 0.915965594177219015054603514932384110774
+
+
+def _b2_chi_character_sum(D0: int) -> Fraction:
+    """Oracle: B_{2,chi} = (1/F) sum_{a=1}^{F} chi(a) (a^2 - F a + F^2/6),
+    F = |D0|, summed over the integers chi(a) (6 a^2 - 6 F a + F^2)."""
+    F = abs(D0)
+    total = sum(kronecker_chi(D0, a) * (6 * a * a - 6 * F * a + F * F)
+                for a in range(1, F + 1))
+    return Fraction(total, 6 * F)
+
+
+def test_sigma1_against_enumeration():
+    for n in range(1, 400):
+        assert arith._sigma1(n) == sum(d for d in range(1, n + 1)
+                                       if n % d == 0)
+
+
+def test_r4_counts_sums_of_four_squares():
+    counts = [0] * 61
+    for a in range(-7, 8):
+        for b in range(-7, 8):
+            for c in range(-7, 8):
+                for d in range(-7, 8):
+                    n = a * a + b * b + c * c + d * d
+                    if n <= 60:
+                        counts[n] += 1
+    assert [arith._r4(n) for n in range(61)] == counts
+
+
+def test_B2_five_squares_equals_character_sum():
+    for D0 in range(1, 3001):
+        if is_fundamental_discriminant(D0):
+            assert bernoulli_B2_chi(D0) == _b2_chi_character_sum(D0), D0
+    assert bernoulli_B2_chi(400009) == _b2_chi_character_sum(400009)
+
+
+def test_plus_space_coefficients_vanish_off_discriminants():
+    for N in range(3001):
+        if N % 4 in (2, 3):
+            assert arith._cohen_H2_times_120(N) == 0, N
+
+
+_THETA_SAMPLE = sorted(random.Random(8).sample(
+    [D for D in range(-40003, -300) if is_fundamental_discriminant(D)], 20))
+
+
+@pytest.mark.parametrize(
+    "D0", [D for D in range(-300, -2) if is_fundamental_discriminant(D)]
+    + _THETA_SAMPLE)
+def test_L2_theta_within_tolerance_of_series(D0):
+    series = L_chi_2_series(D0, 1e-13)
+    for abs_tol in (1e-6, 1e-10, 1e-12):
+        assert abs(L_chi_2(D0, abs_tol) - series) <= abs_tol, abs_tol
+
+
+def test_L2_theta_catalan_to_two_ulp():
+    assert abs(L_chi_2(-4, 1e-15) - CATALAN) <= 2 * math.ulp(CATALAN)
+
+
+def test_oracles_never_reach_the_sublinear_routes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("oracle reached a sublinear route")
+
+    for name in ("_sigma1", "_r4", "_cohen_H2_times_120", "_theta_L2_term",
+                 "_L_chi_2_theta", "bernoulli_B2_chi", "L_chi_2",
+                 "L_chi_2_functional"):
+        monkeypatch.setattr(arith, name, refuse)
+    assert _b2_chi_character_sum(5) == Fraction(4, 5)
+    assert abs(L_chi_2_series(-4, 1e-10) - CATALAN) <= 1e-10
+    assert abs(L_chi_2_series(5, 1e-11)
+               - 4.0 * math.pi ** 2 * 5.0 ** -2.5) <= 1e-11
+    assert abs(L_chi_2_series(1, 1e-12) - math.pi ** 2 / 6.0) <= 1e-12

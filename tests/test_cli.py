@@ -8,6 +8,7 @@ import math
 import pytest
 
 from kudla_green import cli
+from kudla_green.arith import L_chi_2_series
 from kudla_green.cli import main
 from kudla_green.specfun import Precision
 
@@ -188,6 +189,17 @@ def test_verify_nan_route_fails(capsys, monkeypatch, name, route):
     code, out = run_cli(capsys, "verify", "--only", name)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_V22_row_compares_against_the_series(capsys, monkeypatch):
+    # the V_{2,2}(5) row reads L(2, chi_5) from the independent series route,
+    # so a wrong series value must fail it
+    monkeypatch.setattr("kudla_green.cli.L_chi_2_series",
+                        lambda D0, tol: 1.00001 * L_chi_2_series(D0, tol))
+    code, out = run_cli(capsys, "verify", "--only", "volume-spot-values")
+    assert code == 1
+    assert [line.split("\t")[-1] for line in out.splitlines()
+            if "V_{2,2}(5) dual routes" in line] == ["FAIL"]
 
 
 def _strict_json(text):
