@@ -409,6 +409,7 @@ def _theta_L2_term(n: int, F: int) -> float:
                                     + math.pi * n / F * exp_e1(x)))
 
 
+@lru_cache(maxsize=1024)  # coefficient_C and vol_sie ask for the same value
 def _L_chi_2_theta(D0: int, abs_tol: float) -> float:
     """L(2, chi_{D0}) for D0 < 0 from the theta functional equation.
 

@@ -28,6 +28,12 @@ ellipsoid.  Every point the enumeration yields is accepted or rejected by
 re-evaluating the canonical quadratic form `majorant_value`, so a
 brute-force box scan using the same function (and, for the Green function,
 the same qhat = 4m test) reproduces the output exactly.
+
+Both forms are even, so u and -u are found, filtered and (in the Green
+function) evaluated alike, and the pair is paid for once: the search walks
+the half tree, each accepted u brings -u along, and the sorted list is the
+full one, so every sum keeps its order and its bits.  The Green function
+takes one E1 value per distinct R.
 """
 
 from __future__ import annotations
@@ -116,7 +122,9 @@ class LatticeVector:
 class GreenEvaluation:
     """One truncated Green-function value and what it cost.
 
-    nodes_visited counts the Fincke-Pohst search-tree nodes; min_R is the
+    nodes_visited counts the nodes of the half tree that Fincke-Pohst
+    walks (one member of each pair +-u; the full tree has 2 nodes_visited - 5,
+    the all-zero prefix being shared by both halves); min_R is the
     smallest R(x(u), z) among the summed terms, which is the smallest R on
     the whole shell qhat = 4m whenever that is <= radius (inf: no term).
     """
@@ -220,9 +228,10 @@ def _shell_roots(a: int, b: int, c: int, lo: int, hi: int):
 def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
                   form: list[list[int]],
                   target: int) -> tuple[list[tuple[int, ...]], int]:
-    """Nonzero integer w with w^T P w <= limit (P positive definite) and
-    w^T Q w = target for the integer symmetric `form` Q (nested lists), and
-    the number of search-tree nodes visited.
+    """One w of each pair +-w of nonzero integer vectors with
+    w^T P w <= limit (P positive definite) and w^T Q w = target for the
+    integer symmetric `form` Q (nested lists), and the number of search-tree
+    nodes visited.
 
     Recursive coordinate bounding on the Cholesky factor, with a small
     relative slack so boundary points are never pruned by roundoff;
@@ -232,8 +241,16 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
     b = 2 sum_{j>i} Q_ij w_j, so the innermost w_0 is not scanned over its
     range but solved for exactly (`_shell_roots`); each root passes the
     same range and slack tests as a scanned w_0.  The zero form with
-    target 0 makes every w_0 in range a root: the whole ellipsoid.  `cap`
-    bounds the points yielded.
+    target 0 makes every w_0 in range a root: the whole ellipsoid.
+
+    The search walks the half tree: while w_{i+1}, ..., w_{n-1} are all
+    zero, w_i is restricted to w_i >= 0 (w_0 >= 1), so the yielded w is the
+    member of its pair whose last nonzero coordinate is positive.  Under
+    w -> -w every quantity these tests read is negated or kept exactly in
+    IEEE arithmetic (t, the range ends, b and the roots are negated; s * s,
+    rem and qtail are kept), so the full tree is this one and its mirror
+    image, and the node count is that of the half tree.  `cap` bounds the
+    points of the full tree, both members of each pair counted.
     """
     n = P.shape[0]
     R = np.linalg.cholesky(P).T.tolist()
@@ -243,8 +260,10 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
     w = [0] * n
     nodes = 0
 
-    def descend(i: int, remaining: float, qtail: int) -> None:
-        # qtail = w^T Q w restricted to w_{i+1}, ..., w_{n-1}
+    def descend(i: int, remaining: float, qtail: int,
+                zero_above: bool) -> None:
+        # qtail = w^T Q w restricted to w_{i+1}, ..., w_{n-1};
+        # zero_above: those w_j are all 0
         nonlocal nodes
         nodes += 1
         t = 0.0
@@ -254,6 +273,8 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
         rii = R[i][i]
         lo = math.ceil((-rad - t) / rii - 1e-12)
         hi = math.floor((rad - t) / rii + 1e-12)
+        if zero_above:
+            lo = max(lo, 1 if i == 0 else 0)
         row = form[i]
         b = 0
         for j in range(i + 1, n):
@@ -268,15 +289,16 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
                 continue
             w[i] = wi
             if i > 0:
-                descend(i - 1, rem, qtail + wi * (row[i] * wi + b))
-            elif any(w):
+                descend(i - 1, rem, qtail + wi * (row[i] * wi + b),
+                        zero_above and wi == 0)
+            else:
                 out.append(tuple(w))
-                if len(out) > cap:
+                if 2 * len(out) > cap:
                     raise EnumerationCapError(
                         f"more than {cap} lattice points below the bound")
         w[i] = 0
 
-    descend(n - 1, budget, 0)
+    descend(n - 1, budget, 0, True)
     return out, nodes
 
 
@@ -289,6 +311,10 @@ def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
 
     The enumeration runs on the reduced form T^T Q T and solves for its
     innermost coordinate; the default zero form keeps the whole ellipsoid.
+    It yields one member w of each pair +-w, and u = T w passes or fails
+    the canonical test together with -u: negation is exact, so
+    majorant_value(P, -u) is majorant_value(P, u) bit for bit.  Both are
+    kept, then sorted.
     """
     T = _lll_transform(P)
     P_red = T.T @ P @ T
@@ -297,10 +323,12 @@ def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
     form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
     points, nodes = _fincke_pohst(P_red, 2.0 * bound, cap, form_red, target)
     found = []
-    for wt in points:
-        u = T @ np.array(wt, dtype=np.int64)
-        if majorant_value(P, u) <= bound + slack:
-            found.append(tuple(int(x) for x in u))
+    if points:
+        U = np.array(points, dtype=np.int64) @ T.T  # row k is T w_k, exact
+        for u, coords in zip(U, U.tolist()):
+            if majorant_value(P, u) <= bound + slack:
+                found.append(tuple(coords))
+                found.append(tuple([-x for x in coords]))
     found.sort()
     return found, nodes
 
@@ -336,7 +364,9 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
     yields the shell points only; `cap` bounds their number
     (EnumerationCapError beyond it).  Each shell point then passes the
     canonical majorant_value test, and R is taken at x(u).  Terms are added
-    in lexicographic order of u (deterministic).  A term with R below
+    in lexicographic order of u (deterministic); u and -u have the same R
+    bit for bit, so E1 is evaluated once per distinct R.  nodes_visited
+    counts the half tree (one member of each pair +-u).  A term with R below
     SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
     SingularPointError.  tail_bound reports the crude shell estimate
     c(z) * radius^{3/2} * e^{-t}/t at t = 2 pi v radius, with c(z)
@@ -371,8 +401,12 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         if r_val <= radius:
             r_terms.append(r_val)
     value = 0.0
+    e1_at = {}  # u and -u share R bit for bit: one exp_e1 per distinct R
     for r_val in r_terms:
-        value += exp_e1(2.0 * math.pi * v * r_val)
+        e1 = e1_at.get(r_val)
+        if e1 is None:
+            e1 = e1_at[r_val] = exp_e1(2.0 * math.pi * v * r_val)
+        value += e1
     density = len(r_terms) / radius ** 1.5 if r_terms else 1.0
     tail_bound = density * radius ** 1.5 * beta1_cut
     return GreenEvaluation(value=value, terms_used=len(r_terms),

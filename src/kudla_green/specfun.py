@@ -53,7 +53,9 @@ FOUR_PI = 4.0 * math.pi
 
 # start window edge of `_truncated`, in e-folding lengths of the decay
 _START_EFOLDS = 46.0
-# term cap of the E1 power series; at x = 30 the last term is ~1e-24
+# domain of `e1_series`: past it cancellation eats E1's digits (none by x = 20)
+_E1_SERIES_MAX_X = 16.0
+# term cap of the E1 power series; at x = 16 the loop stops at k = 70
 _E1_SERIES_TERMS = 120
 
 
@@ -194,47 +196,70 @@ def adaptive_quadrature(f, a: float, b: float, prec: Precision,
 # Fast exponential integral E1 (series + continued fraction)
 # ---------------------------------------------------------------------------
 
-def e1_series(x: float) -> float:
-    """E1(x) by the classical power series -gamma - ln x + sum (-1)^{k+1} x^k/(k k!).
-
-    Converges for all finite x > 0, but cancellation costs absolute accuracy
-    as x grows: the error is ~5e-13 at x = 15, ~2e-10 at x = 20 and ~6e-6 at
-    x = 30, where E1 itself is 3e-15.  This is the stated independent oracle
-    for beta_1 on small x; `exp_e1` uses it below x = 1.5 only.
-    """
-    if not 0 < x < math.inf:
-        raise ValueError("x must be positive and finite")
+def _e1_power_series(x: float) -> float:
+    """The power series of `e1_series`, unchecked (0 < x <= 16)."""
     total = 0.0
     term = 1.0
     for k in range(1, _E1_SERIES_TERMS + 1):
         term *= -x / k
         delta = -term / k
         total += delta
-        if abs(delta) < 1e-18 * max(1.0, abs(total)):
+        # |delta| < 1e-18 max(1, |total|), without the abs/max calls
+        if total > 1.0:
+            lim = 1e-18 * total
+        elif total < -1.0:
+            lim = -1e-18 * total
+        else:
+            lim = 1e-18
+        if -lim < delta < lim:
             break
     return -EULER_GAMMA - math.log(x) + total
 
 
+def e1_series(x: float) -> float:
+    """E1(x) by the classical power series -gamma - ln x + sum (-1)^{k+1} x^k/(k k!),
+    for 0 < x <= 16 only; ValueError outside that domain.
+
+    Cancellation costs absolute accuracy as x grows: the error is ~5e-13 at
+    x = 15 and ~9e-12 at x = 16, while past the bound it reaches ~2e-10 at
+    x = 20 and the value turns negative by x = 25.  This is the stated
+    independent oracle for beta_1 on small x; `exp_e1` uses the same series
+    below x = 1.5 only.
+    """
+    if not 0 < x <= _E1_SERIES_MAX_X:
+        raise ValueError(f"x must be in (0, {_E1_SERIES_MAX_X:g}]")
+    return _e1_power_series(x)
+
+
+# a_k = -k^2 of the E1 continued fraction, k = 1..299
+_CF_AN = tuple(-float(k) * float(k) for k in range(1, 300))
+# Lentz's C_0 = 1 / tiny
+_CF_C0 = 1.0 / 1e-300
+
+
 def _e1_cf(x: float) -> float:
-    """E1(x) by a continued fraction (modified Lentz); best for x >= ~1.5."""
-    tiny = 1e-300
+    """E1(x) by a continued fraction (modified Lentz); best for x >= ~1.5.
+
+    E1(x) = e^{-x} / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with
+    b_k = x + 2k + 1 and a_k = -k^2.  Lentz's tiny-denominator guards are
+    not needed for x > 0.  By induction on k: 1/D_0 = b_0 = x + 1 and
+    C_0 = 1e300 are at least x + 1; if 1/D_{k-1} and C_{k-1} are at least
+    x + k, then 1/D_k = b_k + a_k D_{k-1} and C_k = b_k + a_k / C_{k-1} are
+    at least x + 2k + 1 - k^2 / (x + k) = x + k + 1 + k x / (x + k), so no
+    denominator comes near zero.  The margin k x / (x + k) is at least 0.6
+    for x >= 1.5, far above roundoff.
+    """
     b = x + 1.0
-    c = 1.0 / tiny
+    c = _CF_C0
     d = 1.0 / b
     h = d
-    for k in range(1, 300):
-        an = -float(k) * float(k)
+    for an in _CF_AN:
         b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             return h * math.exp(-x)
     raise ToleranceError(f"E1 continued fraction did not converge at x={x}")
 
@@ -244,7 +269,7 @@ def exp_e1(x: float) -> float:
     if not x > 0:
         raise ValueError("x must be positive")
     if x < 1.5:
-        return e1_series(x)
+        return _e1_power_series(x)
     if x > 700.0:
         return 0.0  # below double underflow of e^{-x}
     return _e1_cf(x)

@@ -323,6 +323,14 @@ def test_L2_theta_catalan_to_two_ulp():
     assert abs(L_chi_2(-4, 1e-15) - CATALAN) <= 2 * math.ulp(CATALAN)
 
 
+def test_L2_theta_memo_is_bounded_and_exact():
+    theta = arith._L_chi_2_theta
+    assert theta.cache_info().maxsize is not None
+    for D0, tol in ((-4, 1e-12), (-1003, 1e-10), (-40003, 1e-12)):
+        first = L_chi_2(D0, tol)
+        assert first == L_chi_2(D0, tol) == theta.__wrapped__(D0, tol)
+
+
 def test_oracles_never_reach_the_sublinear_routes(monkeypatch):
     def refuse(*args):
         raise AssertionError("oracle reached a sublinear route")

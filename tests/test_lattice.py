@@ -9,7 +9,7 @@ import pytest
 from kudla_green.arith import CaseIndex, split_discriminant
 from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
                                   majorant_gram)
-from kudla_green.lattice import (EnumerationCapError, LatticeVector,
+from kudla_green.lattice import (_QHAT, EnumerationCapError, LatticeVector,
                                  SingularPointError, _enumerate_core,
                                  _lll_transform, _shell_roots,
                                  enumerate_bounded, green_function,
@@ -19,6 +19,7 @@ from kudla_green.specfun import Precision, e1_series, exp_e1
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)
+_ZERO = np.zeros((5, 5), dtype=np.int64)
 
 
 def _random_points(n, seed=0):
@@ -307,11 +308,78 @@ def _half_gram(z):
     return 0.5 * (Ph + Ph.T)
 
 
+def _fincke_pohst_full_tree(P, limit, cap, form, target):
+    """Reference: the Fincke-Pohst search over the full tree, both members
+    of each pair +-w visited and yielded."""
+    n = P.shape[0]
+    R = np.linalg.cholesky(P).T.tolist()
+    slack = limit * 1e-9 + 1e-9
+    budget = limit + slack
+    out = []
+    w = [0] * n
+    nodes = 0
+
+    def descend(i, remaining, qtail):
+        nonlocal nodes
+        nodes += 1
+        t = 0.0
+        for j in range(i + 1, n):
+            t += R[i][j] * w[j]
+        rad = math.sqrt(max(remaining, 0.0))
+        rii = R[i][i]
+        lo = math.ceil((-rad - t) / rii - 1e-12)
+        hi = math.floor((rad - t) / rii + 1e-12)
+        row = form[i]
+        b = 0
+        for j in range(i + 1, n):
+            b += row[j] * w[j]
+        b *= 2
+        wis = (_shell_roots(row[0], b, qtail - target, lo, hi) if i == 0
+               else range(lo, hi + 1))
+        for wi in wis:
+            s = rii * wi + t
+            rem = remaining - s * s
+            if rem < -slack:
+                continue
+            w[i] = wi
+            if i > 0:
+                descend(i - 1, rem, qtail + wi * (row[i] * wi + b))
+            elif any(w):
+                out.append(tuple(w))
+                if len(out) > cap:
+                    raise EnumerationCapError(
+                        f"more than {cap} lattice points below the bound")
+        w[i] = 0
+
+    descend(n - 1, budget, 0)
+    return out, nodes
+
+
+def _enumerate_full_tree(P, bound, slack, cap, form=_ZERO, target=0):
+    """Reference for `_enumerate_core`: the full tree, every point mapped
+    back and tested on its own."""
+    T = _lll_transform(P)
+    P_red = T.T @ P @ T
+    P_red = 0.5 * (P_red + P_red.T)
+    T_obj = T.astype(object)
+    form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
+    points, nodes = _fincke_pohst_full_tree(P_red, 2.0 * bound, cap,
+                                            form_red, target)
+    found = []
+    for wt in points:
+        u = T @ np.array(wt, dtype=np.int64)
+        if majorant_value(P, u) <= bound + slack:
+            found.append(tuple(int(x) for x in u))
+    found.sort()
+    return found, nodes
+
+
 def _green_ellipsoid_oracle(c, v, z, radius, prec=Precision()):
-    """The whole-ellipsoid route: every point of the majorant ellipsoid,
-    then the qhat = 4m and R <= radius filters, summed in order of u."""
-    points, _ = _enumerate_core(_half_gram(z), float(c.m) + radius,
-                                prec.abs_tol, 2_000_000)
+    """The whole-ellipsoid route: every point of the majorant ellipsoid (on
+    the full tree), then the qhat = 4m and R <= radius filters, summed in
+    order of u."""
+    points, _ = _enumerate_full_tree(_half_gram(z), float(c.m) + radius,
+                                     prec.abs_tol, 2_000_000)
     value, n = 0.0, 0
     for u in points:
         if LatticeVector(*u).qhat != 4 * c.m:
@@ -431,3 +499,29 @@ def test_green_counters():
     empty = green_function(c, 1.0, Z_GENERIC, 1e-3)
     assert empty.terms_used == 0 and empty.min_R == math.inf
     assert empty.nodes_visited > 0
+
+
+def test_half_tree_matches_full_tree():
+    # the zero form (enumerate_bounded's grids) and the qhat = 4m shell
+    cases = [(majorant_gram(z), bound, 0.0, _ZERO, 0)
+             for z in _random_points(6, seed=42) for bound in (0.8, 1.7)]
+    cases += [(majorant_gram(SiegelPoint(0.3 + 5.0j, 0.1 + 0.2j,
+                                         -0.7 + 0.31j)), 2.0, 0.0, _ZERO, 0),
+              (majorant_gram(Z_GENERIC), 2.2, 0.0, _ZERO, 0)]
+    shells = [(_half_gram(z), m + radius, 1e-10, _QHAT, 4 * m)
+              for z, m, radius in ((Z_GENERIC, 1, 12.0),
+                                   (_scan_points(1, seed=5)[0], 2, 8.0),
+                                   (_scan_points(2, seed=5)[1], -1, 6.0))]
+    for P, bound, slack, form, target in cases + shells:
+        got, nodes = _enumerate_core(P, bound, slack, 10**6, form, target)
+        want, ref_nodes = _enumerate_full_tree(P, bound, slack, 10**6, form,
+                                               target)
+        assert got == want
+        # the full tree is the half tree, its mirror image and the shared
+        # all-zero prefixes, one per level
+        assert ref_nodes == 2 * nodes - 5
+        if form is _QHAT:
+            assert nodes <= 0.55 * ref_nodes
+        for u in got:
+            neg = tuple(-x for x in u)
+            assert majorant_value(P, u).hex() == majorant_value(P, neg).hex()

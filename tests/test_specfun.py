@@ -1,6 +1,7 @@
 """Quadrature engine and the special-function integrals."""
 
 import math
+import random
 
 import pytest
 
@@ -103,6 +104,71 @@ def test_exp_e1_matches_quadrature(x):
 def test_e1_refuses_nan_and_e1_series_inf(call, x):
     with pytest.raises(ValueError):
         call(x)
+
+
+def test_e1_series_refuses_x_past_its_domain():
+    # at x = 16 the series still agrees with the continued fraction
+    assert abs(e1_series(16.0) - exp_e1(16.0)) <= 1e-11
+    for x in (math.nextafter(16.0, math.inf), 25.0, 60.0):
+        with pytest.raises(ValueError, match="16"):
+            e1_series(x)
+
+
+def _e1_series_reference(x):
+    """The power series loop as first written, with the abs/max stop test."""
+    total = 0.0
+    term = 1.0
+    for k in range(1, 121):
+        term *= -x / k
+        delta = -term / k
+        total += delta
+        if abs(delta) < 1e-18 * max(1.0, abs(total)):
+            break
+    return -EULER_GAMMA - math.log(x) + total
+
+
+def _e1_cf_reference(x):
+    """The modified Lentz continued fraction as first written, guards kept."""
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for k in range(1, 300):
+        an = -float(k) * float(k)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h * math.exp(-x)
+    raise ToleranceError(f"E1 continued fraction did not converge at x={x}")
+
+
+def _exp_e1_reference(x):
+    if x < 1.5:
+        return _e1_series_reference(x)
+    if x > 700.0:
+        return 0.0
+    return _e1_cf_reference(x)
+
+
+def test_exp_e1_bit_identical_to_reference():
+    rng = random.Random(20240)
+    xs = [math.exp(rng.uniform(math.log(1e-8), math.log(700.0)))
+          for _ in range(20_000)]
+    xs += [1.5, math.nextafter(1.5, 0.0), math.nextafter(1.5, 2.0), 5e-324,
+           700.0, math.nextafter(700.0, math.inf), 16.0]
+    for x in xs:
+        assert exp_e1(x).hex() == _exp_e1_reference(x).hex(), x
+        if x <= 16.0:
+            assert e1_series(x).hex() == _e1_series_reference(x).hex(), x
 
 
 def test_exp_e1_at_infinity_is_zero():
