@@ -5,8 +5,8 @@ splitting, generalized Bernoulli numbers, and the Dirichlet L-values that
 drive everything else, each in about sqrt(|D0|) steps: B_{2,chi} and
 L(-1, chi) exactly from sums of five squares, L(2, chi) for D0 > 0 through
 the functional equation and for D0 < 0 through the theta functional
-equation with a certified tail.  The direct series `L_chi_2_series` is kept
-as an independent oracle; it calls neither fast route.
+equation with a certified tail.  The O(|D0|) trigamma character sum
+`L_chi_2_series` is the independent oracle; it calls neither fast route.
 
 Conventions
 -----------
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import exp_e1
+from .specfun import ToleranceError, exp_e1
 
 __all__ = [
     "CaseIndex",
@@ -353,41 +353,44 @@ def bernoulli_L_minus1(D0: int) -> Fraction:
     return -bernoulli_B2_chi(D0) / 2
 
 
-def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
-    """L(2, chi_{D0}) by direct summation of sum chi(n)/n^2.
+# psi'(y) ~ 1/y + 1/(2 y^2) + sum_{j<=5} B_{2j} y^{-2j-1}, term by term
+_TRIGAMMA_COEF = np.array([1.0, 0.5, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66])
+_TRIGAMMA_POW = np.array([1, 2, 3, 5, 7, 9, 11])
 
-    Independent oracle route.  For D0 = 1 the tail 1/N - 1/(2N^2) + 1/(6N^3)
-    is added (Euler-Maclaurin, error below 1/(30 N^5)).  For |D0| > 1 the
-    prefix sums of chi are bounded, so partial summation bounds the tail by
-    2*C/N^2 with C the max prefix sum over a period; N is chosen so the
-    bound is below abs_tol (always at most the crude 1/N bound).
+
+def _trigamma_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of terms summing to psi'(x), one per x > 0, and row bounds.
+
+    psi'(x) = sum_{k<16} (x + k)^{-2} + psi'(y), y = x + 16; for real y > 0
+    the asymptotic series of psi'(y) misses by at most its first omitted
+    term |B_12| y^{-13}, below 6e-17 at y >= 16 (DLMF 5.15.8, 5.11(ii)).
+    """
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    inv = 1.0 / (x + 16.0)
+    head = 1.0 / (x + np.arange(16)) ** 2
+    tail = _TRIGAMMA_COEF * inv ** _TRIGAMMA_POW
+    return np.hstack([head, tail]), 691 / 2730 * inv[:, 0] ** 13
+
+
+def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
+    """L(2, chi_{D0}) = F^{-2} sum_{a=1}^{F} chi(a) psi'(a/F), F = |D0|.
+
+    The independent oracle, as psi'(a/F) = F^2 sum_{n = a mod F} n^{-2}
+    (Apostol, ch. 12): O(|D0|) steps calling only `kronecker_chi`.  Its
+    truncation is certified (ToleranceError past abs_tol); its rounding,
+    with the terms added by math.fsum, is not (a few ulp).
     """
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-    if D0 == 1:
-        N = 4000
-        n = np.arange(1, N + 1, dtype=np.float64)
-        head = float(np.sum(1.0 / (n * n)[::-1]))
-        return head + 1.0 / N - 1.0 / (2.0 * N * N) + 1.0 / (6.0 * N ** 3)
-    period = abs(D0)
-    # table[r] = chi(r mod period); chi(period) = 0 for |D0| > 1
-    table = np.array([0] + [kronecker_chi(D0, r) for r in range(1, period)],
-                     dtype=np.float64)
-    C = int(np.max(np.abs(np.cumsum(table))))  # max |prefix sum| of chi
-    N = max(1000, math.isqrt(int(2 * max(C, 1) / abs_tol)) + 1)
-    total = 0.0
-    chunk = 1 << 20
-    # summed in descending-n chunks so the smallest terms accumulate first
-    hi = N
-    while hi > 0:
-        lo = max(0, hi - chunk)
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        chi = table[np.arange(lo + 1, hi + 1) % period]
-        total += float(np.sum((chi / (n * n))[::-1]))
-        hi = lo
-    return total
+    F = abs(D0)
+    chi = np.array([kronecker_chi(D0, a) for a in range(1, F + 1)], float)
+    terms, bound = _trigamma_terms(np.arange(1, F + 1) / F)
+    if math.fsum(np.abs(chi) * bound) / (F * F) > abs_tol:
+        raise ToleranceError(f"L(2, chi_{D0}) cannot certify abs_tol={abs_tol}")
+    terms *= chi[:, None]
+    return math.fsum(terms.ravel()) / (F * F)
 
 
 def L_chi_2_functional(D0: int) -> float:
@@ -451,13 +454,12 @@ def L_chi_2(D0: int, abs_tol: float = 1e-12) -> float:
     D0 > 0: the functional equation, from the exact B_{2,chi} (abs_tol is
     not used).  D0 < 0: the theta functional equation `_L_chi_2_theta`,
     whose truncation error is certified to be at most abs_tol / 2, with
-    about sqrt(|D0|) terms (the series oracle `L_chi_2_series` needs
-    ~sqrt(|D0| / abs_tol)).
+    about sqrt(|D0|) terms (the oracle `L_chi_2_series` takes |D0|).
     """
+    if not abs_tol > 0:
+        raise ValueError("abs_tol must be positive")
     if D0 >= 1:
         return L_chi_2_functional(D0)
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
-    if not abs_tol > 0:
-        raise ValueError("abs_tol must be positive")
     return _L_chi_2_theta(D0, abs_tol)

@@ -2,10 +2,12 @@
 
 ``kudla-green verify`` runs them on small grids and the acceptance battery
 on larger ones, each with its own tolerances.  Every function takes its
-grid, plus any oracle input the callers choose differently, and returns
-rows ``{label, lhs, rhs, diff}``; a worst-case row has ``lhs = rhs = 0.0``
-and names its worst point in the label.  In the worst-of reducer a NaN diff
-wins, so a route that returns NaN fails ``diff <= tol``.
+grid and returns rows ``{label, lhs, rhs, diff}``; a worst-case row has
+``lhs = rhs = 0.0`` and names its worst point in the label.  Each
+independent L(2, chi), G = L(2, chi_{-4}) included, is the trigamma oracle
+``L_chi_2_series`` (truncation certified, rounding a few ulp).  In the
+worst-of reducer a NaN diff wins, so a route that returns NaN fails
+``diff <= tol``.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ def divisor_sum(pairs: Iterable[tuple[int, int]]) -> list[dict]:
     return [_row("f^3 sigma = xi over sample grid", 1.0 if miss else 0.0)]
 
 
-def cohen_dual(indices: Iterable[int], series_tol: float) -> list[dict]:
-    """Exact H(2, 4m) against the L(2, chi) series route, worst relative diff."""
+def cohen_dual(indices: Iterable[int]) -> list[dict]:
+    """Exact H(2, 4m) against the L(2, chi) oracle route, worst relative diff."""
     def rel(n4: int) -> tuple[float, str]:
         c = _case(n4)
         exact = float(cohen_H(c))
-        series = (-L_chi_2_series(c.D0, series_tol) * c.D0 ** 1.5
+        series = (-L_chi_2_series(c.D0) * c.D0 ** 1.5
                   * xi_twisted(c.D0, c.f) / (2.0 * math.pi ** 2))
         return abs(exact - series) / max(abs(exact), 1e-30), f"4m={n4}"
 
@@ -130,16 +132,13 @@ def siegel_condition(points: list[SiegelPoint]) -> list[dict]:
                  _worst(resid)[0])]
 
 
-def volume_spot_values(catalan: float, L2_chi5: float,
-                       prec: Precision) -> list[dict]:
-    """V_{1,3}(-4) = G/3, Hirzebruch (5, 1) = 1/15, V_{2,2}(5) via L(2, chi_5).
-
-    catalan approximates Catalan's constant G and L2_chi5 is L(2, chi_5);
-    each caller picks its own route to them.
-    """
+def volume_spot_values(prec: Precision) -> list[dict]:
+    """V_{1,3}(-4) = G/3, Hirzebruch (5, 1) = 1/15, V_{2,2}(5) via L(2, chi_5),
+    with G = L(2, chi_{-4}) and L(2, chi_5) from the oracle."""
+    catalan = L_chi_2_series(-4)
     v13 = humbert_V13(-4, prec).value
     v22 = V22(5).value
-    via_L = 5.0 ** 1.5 * L2_chi5 / 3.0
+    via_L = 5.0 ** 1.5 * L_chi_2_series(5) / 3.0
     return [_row("V_{1,3}(-4) = Catalan/3",
                  abs(v13 - catalan / 3.0) / (catalan / 3.0), v13, catalan / 3.0),
             _exact_row("Hirzebruch volume (5, f=1) = 1/15 exactly",
@@ -147,11 +146,11 @@ def volume_spot_values(catalan: float, L2_chi5: float,
             _row("V_{2,2}(5) dual routes", abs(v22 - via_L) / abs(via_L), v22, via_L)]
 
 
-def zeta_functional_equation(dKs: Iterable[int], series_tol: float) -> list[dict]:
+def zeta_functional_equation(dKs: Iterable[int]) -> list[dict]:
     """zeta_K(-1) exact against zeta(2) L(2, chi_dK) d^{3/2} / (4 pi^4)."""
     def resid(dK: int) -> tuple[float, str]:
         exact = float(zeta_K_minus1(dK))
-        zk2 = math.pi ** 2 / 6.0 * L_chi_2_series(dK, series_tol)
+        zk2 = math.pi ** 2 / 6.0 * L_chi_2_series(dK)
         return abs(exact - zk2 * dK ** 1.5 / (4.0 * math.pi ** 4)), f"dK={dK}"
 
     diff, at = _worst(resid(dK) for dK in dKs)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .arith import CaseIndex, divisors, split_discriminant
 from .geometry import SiegelPoint, _majorant_R_at, _psi_coeffs, majorant_gram
-from .specfun import Precision, exp_e1
+from .specfun import exp_e1
 
 __all__ = [
     "LatticeVector",
@@ -354,7 +354,6 @@ def enumerate_bounded(z: SiegelPoint, bound: float,
 # ---------------------------------------------------------------------------
 
 def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
-                   prec: Precision = Precision(),
                    cap: int = 2_000_000) -> GreenEvaluation:
     """Truncated Green function  sum_u beta_1(2 pi v R(x(u), z))  at z.
 
@@ -363,8 +362,9 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
     and solves qhat(u) = 4m for the innermost reduced coordinate, so it
     yields the shell points only; `cap` bounds their number
     (EnumerationCapError beyond it).  Each shell point then passes the
-    canonical majorant_value test, and R is taken at x(u).  Terms are added
-    in lexicographic order of u (deterministic); u and -u have the same R
+    canonical majorant_value test with a fixed roundoff slack of 1e-10,
+    and R is taken at x(u); R <= radius alone decides each term.  Terms are
+    added in lexicographic order of u (deterministic); u and -u have the same R
     bit for bit, so E1 is evaluated once per distinct R.  nodes_visited
     counts the half tree (one member of each pair +-u).  A term with R below
     SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
@@ -389,7 +389,7 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         return GreenEvaluation(value=0.0, terms_used=0,
                                tail_bound=radius ** 1.5 * beta1_cut,
                                radius=radius)
-    shell, nodes = _enumerate_core(P_half, bound, prec.abs_tol, cap,
+    shell, nodes = _enumerate_core(P_half, bound, 1e-10, cap,
                                    _QHAT, fourm)
     r_terms = []
     for u in shell:  # sorted by u

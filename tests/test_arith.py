@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from kudla_green.arith import (CaseIndex, L_chi_2, L_chi_2_functional,
                                is_fundamental_discriminant, kronecker_chi,
                                moebius, sigma3, sigma_gamma_m,
                                split_discriminant, xi_twisted)
+from kudla_green.specfun import ToleranceError
 
 FUNDAMENTAL_SMALL = [1, 5, 8, 12, 13, 17, 21, 24, 28, 29, 33,
                      -3, -4, -7, -8, -11, -15, -19, -20, -23, -24]
@@ -233,11 +235,7 @@ def test_L2_functional_equals_series():
 
 def test_L2_spot_values():
     assert abs(L_chi_2(1) - math.pi ** 2 / 6.0) < 1e-12
-    # Catalan constant by the alternating odd-square series (averaged tails)
-    s0 = sum((-1) ** k / (2 * k + 1) ** 2 for k in range(40000))
-    s1 = s0 + 1.0 / (2 * 40000 + 1) ** 2
-    catalan = 0.5 * (s0 + s1)
-    assert abs(L_chi_2(-4) - catalan) < 1e-9
+    assert abs(L_chi_2(-4) - CATALAN) < 1e-9
     assert abs(L_chi_2(5) - 4.0 * math.pi ** 2 * 5.0 ** -2.5) < 1e-12
 
 
@@ -255,8 +253,36 @@ def test_L2_series_rejects_bad_input():
 
 
 def test_L2_rejects_nan_tolerance_for_odd_characters():
-    with pytest.raises(ValueError, match="abs_tol must be positive"):
-        L_chi_2(-4, math.nan)
+    # and for even ones, whose route does not use abs_tol
+    for D0 in (-4, 1, 5):
+        for abs_tol in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="abs_tol must be positive"):
+                L_chi_2(D0, abs_tol)
+
+
+def _trigamma(x: float) -> float:
+    terms, _ = arith._trigamma_terms(np.array([x]))
+    return math.fsum(terms[0])
+
+
+def test_trigamma_reflection_and_recurrence():
+    # psi'(x) + psi'(1 - x) = pi^2 / sin^2(pi x), psi'(x) - psi'(x + 1) = x^-2
+    # on a dyadic grid, so x, 1 - x and x + 1 are exact
+    for k in range(1, 65):
+        x = k / 64
+        if k < 64:
+            # sin(pi x) = sin(pi (1 - x)); the smaller argument keeps
+            # the reference accurate near x = 1
+            want = (math.pi / math.sin(math.pi * min(x, 1.0 - x))) ** 2
+            got = _trigamma(x) + _trigamma(1.0 - x)
+            assert abs(got - want) <= 8 * math.ulp(want), x
+        got = _trigamma(x) - _trigamma(x + 1.0)
+        assert abs(got - x ** -2) <= 8 * math.ulp(_trigamma(x)), x
+
+
+def test_L2_series_refuses_an_uncertifiable_tolerance():
+    with pytest.raises(ToleranceError):
+        L_chi_2_series(-4, 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +290,13 @@ def test_L2_rejects_nan_tolerance_for_odd_characters():
 # ---------------------------------------------------------------------------
 
 CATALAN = 0.915965594177219015054603514932384110774
+
+# L(2, chi_{D0}) in closed form: zeta(2), Catalan's G, and the values at the
+# real quadratic fields Q(sqrt 5), Q(sqrt 2), Q(sqrt 3)
+L2_CLOSED_FORMS = {1: math.pi ** 2 / 6.0, -4: CATALAN,
+                   5: 4.0 * math.pi ** 2 / (25.0 * math.sqrt(5.0)),
+                   8: math.pi ** 2 / (8.0 * math.sqrt(2.0)),
+                   12: math.pi ** 2 / (6.0 * math.sqrt(3.0))}
 
 
 def _b2_chi_character_sum(D0: int) -> Fraction:
@@ -315,7 +348,7 @@ _THETA_SAMPLE = sorted(random.Random(8).sample(
     + _THETA_SAMPLE)
 def test_L2_theta_within_tolerance_of_series(D0):
     series = L_chi_2_series(D0, 1e-13)
-    for abs_tol in (1e-6, 1e-10, 1e-12):
+    for abs_tol in (1e-6, 1e-10, 1e-12, 1e-14):
         assert abs(L_chi_2(D0, abs_tol) - series) <= abs_tol, abs_tol
 
 
@@ -337,10 +370,8 @@ def test_oracles_never_reach_the_sublinear_routes(monkeypatch):
 
     for name in ("_sigma1", "_r4", "_cohen_H2_times_120", "_theta_L2_term",
                  "_L_chi_2_theta", "bernoulli_B2_chi", "L_chi_2",
-                 "L_chi_2_functional"):
+                 "L_chi_2_functional", "exp_e1"):
         monkeypatch.setattr(arith, name, refuse)
     assert _b2_chi_character_sum(5) == Fraction(4, 5)
-    assert abs(L_chi_2_series(-4, 1e-10) - CATALAN) <= 1e-10
-    assert abs(L_chi_2_series(5, 1e-11)
-               - 4.0 * math.pi ** 2 * 5.0 ** -2.5) <= 1e-11
-    assert abs(L_chi_2_series(1, 1e-12) - math.pi ** 2 / 6.0) <= 1e-12
+    for D0, want in L2_CLOSED_FORMS.items():
+        assert abs(L_chi_2_series(D0) - want) <= 8 * math.ulp(want), D0

@@ -192,14 +192,23 @@ def test_verify_nan_route_fails(capsys, monkeypatch, name, route):
 
 
 def test_verify_V22_row_compares_against_the_series(capsys, monkeypatch):
-    # the V_{2,2}(5) row reads L(2, chi_5) from the independent series route,
-    # so a wrong series value must fail it
-    monkeypatch.setattr("kudla_green.cli.L_chi_2_series",
-                        lambda D0, tol: 1.00001 * L_chi_2_series(D0, tol))
+    # the V_{1,3}(-4) and V_{2,2}(5) rows read G = L(2, chi_{-4}) and
+    # L(2, chi_5) from the independent oracle, so a wrong oracle fails both
+    monkeypatch.setattr("kudla_green.checks.L_chi_2_series",
+                        lambda D0: 1.00001 * L_chi_2_series(D0))
     code, out = run_cli(capsys, "verify", "--only", "volume-spot-values")
     assert code == 1
-    assert [line.split("\t")[-1] for line in out.splitlines()
-            if "V_{2,2}(5) dual routes" in line] == ["FAIL"]
+    status = {line.split("\t")[1]: line.split("\t")[-1]
+              for line in out.splitlines()[1:-1]}
+    assert status["V_{1,3}(-4) = Catalan/3"] == "FAIL"
+    assert status["V_{2,2}(5) dual routes"] == "FAIL"
+
+
+def test_verify_volume_rows_pass_at_tight_tolerance(capsys):
+    # the Catalan oracle is good to a few ulp, not to a partial sum's 3e-10
+    code, _ = run_cli(capsys, "verify", "--only", "volume-spot-values",
+                      "--tol", "1e-12")
+    assert code == 0
 
 
 def _strict_json(text):
