@@ -11,11 +11,12 @@ Three subcommands:
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including a ``--tol`` that is NaN, not positive for ``green`` or
 negative for ``verify``), 3 domain error (point outside the half-space, v
-or radius not positive and finite, or a point so far out that the majorant
-Gram matrix loses positive definiteness to rounding), 4 singular point (on
-a Heegner divisor).  Exact rationals are printed as exact strings ("p/q"),
-floats with 15 significant digits; identical invocations produce
-byte-identical output, and the JSON and CSV payloads carry the same numbers.
+or radius not positive and finite, a point so far out that the majorant
+Gram matrix loses positive definiteness to rounding, or an enumeration past
+its point cap), 4 singular point (on a Heegner divisor).  Exact rationals
+are printed as exact strings ("p/q"), floats with 15 significant digits;
+identical invocations produce byte-identical output, and the JSON and CSV
+payloads carry the same numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .arith import CaseIndex, split_discriminant
 from .eisenstein import coefficient_C, cohen_H
 from .geometry import SiegelPoint
 from .integrals import heegner_degree
-from .lattice import SingularPointError, green_function
+from .lattice import EnumerationCapError, SingularPointError, green_function
 from .specfun import Precision
 
 __all__ = ["RunConfig", "cmd_coeff", "cmd_green", "cmd_verify", "main",
@@ -174,7 +175,7 @@ def cmd_green(cfg: RunConfig) -> tuple[int, str]:
         ev = green_function(c, cfg.v, z, cfg.radius)
     except SingularPointError as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
-    except ValueError as exc:
+    except (ValueError, EnumerationCapError) as exc:
         return EXIT_DOMAIN, f"error: {exc}\n"
     rows = [{
         "value": _json_float(ev.value),

@@ -24,16 +24,14 @@ which solves that integer quadratic for the innermost reduced coordinate
 instead of scanning it.  The Green function takes Q = qhat and target 4m, so
 only shell points leave the enumeration; `enumerate_bounded` takes the zero
 form and target 0, for which every coordinate in range is a root: the plain
-ellipsoid.  Every point the enumeration yields is accepted or rejected by
-re-evaluating the canonical quadratic form `majorant_value`, so a
-brute-force box scan using the same function (and, for the Green function,
-the same qhat = 4m test) reproduces the output exactly.
-
-Both forms are even, so u and -u are found, filtered and (in the Green
-function) evaluated alike, and the pair is paid for once: the search walks
-the half tree, each accepted u brings -u along, and the sorted list is the
-full one, so every sum keeps its order and its bits.  The Green function
-takes one E1 value per distinct R.
+ellipsoid.  Both forms are even, so the search walks the half tree and
+yields one u of each pair +-u.  Each caller decides a pair by one test,
+once: `enumerate_bounded` by `majorant_value <= bound`, the Green function
+by R(x(u), z) <= radius, which alone keeps a term and pays its one E1
+value.  Negation is exact, so -u passes, fails and evaluates as u does, bit
+for bit; each caller then adds -u and sorts by u, so every sum keeps its
+order and its bits, and a brute-force box scan applying the same test (and,
+for the Green function, qhat = 4m) reproduces the output exactly.
 """
 
 from __future__ import annotations
@@ -235,7 +233,7 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
 
     Recursive coordinate bounding on the Cholesky factor, with a small
     relative slack so boundary points are never pruned by roundoff;
-    callers re-filter with the canonical form.  A node is one prefix
+    callers apply their own decisive test.  A node is one prefix
     (w_{i+1}, ..., w_{n-1}) whose range for w_i is computed.  At each node
     w^T Q w = Q_ii w_i^2 + b w_i + qtail over w_i, ..., w_{n-1}, with
     b = 2 sum_{j>i} Q_ij w_j, so the innermost w_0 is not scanned over its
@@ -302,19 +300,14 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
     return out, nodes
 
 
-def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
+def _enumerate_core(P: np.ndarray, bound: float, cap: int,
                     form: np.ndarray = _ZERO_FORM,
                     target: int = 0) -> tuple[list[tuple[int, ...]], int]:
-    """Nonzero u with majorant_value(P, u) <= bound and u^T Q u = target
-    for the integer `form` Q (in u coordinates), sorted lexicographically,
-    and the Fincke-Pohst node count.
-
-    The enumeration runs on the reduced form T^T Q T and solves for its
-    innermost coordinate; the default zero form keeps the whole ellipsoid.
-    It yields one member w of each pair +-w, and u = T w passes or fails
-    the canonical test together with -u: negation is exact, so
-    majorant_value(P, -u) is majorant_value(P, u) bit for bit.  Both are
-    kept, then sorted.
+    """One u = T w of each pair +-u of nonzero integer vectors that the
+    search finds under majorant_value(P, u) <= bound with u^T Q u = target
+    for the integer `form` Q (in u coordinates; the default zero form keeps
+    the whole ellipsoid), and the Fincke-Pohst node count.  The search keeps
+    a roundoff slack, so callers apply their own test to each u.
     """
     T = _lll_transform(P)
     P_red = T.T @ P @ T
@@ -322,15 +315,12 @@ def _enumerate_core(P: np.ndarray, bound: float, slack: float, cap: int,
     T_obj = T.astype(object)  # exact Python-int products
     form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
     points, nodes = _fincke_pohst(P_red, 2.0 * bound, cap, form_red, target)
-    found = []
-    if points:
-        U = np.array(points, dtype=np.int64) @ T.T  # row k is T w_k, exact
-        for u, coords in zip(U, U.tolist()):
-            if majorant_value(P, u) <= bound + slack:
-                found.append(tuple(coords))
-                found.append(tuple([-x for x in coords]))
-    found.sort()
-    return found, nodes
+    U = np.array(points, dtype=np.int64).reshape(-1, len(T)) @ T.T  # exact
+    return [tuple(u) for u in U.tolist()], nodes
+
+
+def _neg(u: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-x for x in u])
 
 
 def enumerate_bounded(z: SiegelPoint, bound: float,
@@ -340,13 +330,18 @@ def enumerate_bounded(z: SiegelPoint, bound: float,
     P_z is the majorant Gram matrix at z, so the quantity bounded is
     q(u) + R(u, z).  Output is sorted lexicographically and deterministic;
     the boundary test is `majorant_value(P_z, u) <= bound` exactly as a
-    brute-force scan would apply it.
+    brute-force scan would apply it.  bound <= 0 gives []; NaN or inf
+    raises ValueError.
     """
     if bound <= 0:
         return []
+    if not math.isfinite(bound):
+        raise ValueError("bound must be finite")
     P = majorant_gram(z)
-    points, _ = _enumerate_core(P, bound, 0.0, cap)
-    return [LatticeVector(*u) for u in points]
+    pairs, _ = _enumerate_core(P, bound, cap)
+    found = [w for u in pairs if majorant_value(P, u) <= bound
+             for w in (u, _neg(u))]
+    return [LatticeVector(*u) for u in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +355,14 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
     The sum runs over u with qhat(u) = 4m and R(x(u), z) <= radius.  The
     enumeration walks the majorant ellipsoid q(x(u)) + R = m + R <= m + radius
     and solves qhat(u) = 4m for the innermost reduced coordinate, so it
-    yields the shell points only; `cap` bounds their number
-    (EnumerationCapError beyond it).  Each shell point then passes the
-    canonical majorant_value test with a fixed roundoff slack of 1e-10,
-    and R is taken at x(u); R <= radius alone decides each term.  Terms are
-    added in lexicographic order of u (deterministic); u and -u have the same R
-    bit for bit, so E1 is evaluated once per distinct R.  nodes_visited
-    counts the half tree (one member of each pair +-u).  A term with R below
-    SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
-    SingularPointError.  tail_bound reports the crude shell estimate
+    yields the shell points only, one u of each pair +-u; `cap` bounds
+    their number, both members counted (EnumerationCapError beyond it).
+    Each pair pays one R at x(u): R <= radius alone keeps it, with one E1
+    value for u and -u.  Terms are added in lexicographic order of u
+    (deterministic); nodes_visited counts the half tree.  A shell point
+    with R below SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
+    SingularPointError, naming the lexicographically first such u.
+    tail_bound reports the crude shell estimate
     c(z) * radius^{3/2} * e^{-t}/t at t = 2 pi v radius, with c(z)
     calibrated from the enumerated count; it is reported, never added.
     v and radius must be positive and finite (ValueError).
@@ -389,30 +383,32 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         return GreenEvaluation(value=0.0, terms_used=0,
                                tail_bound=radius ** 1.5 * beta1_cut,
                                radius=radius)
-    shell, nodes = _enumerate_core(P_half, bound, 1e-10, cap,
-                                   _QHAT, fourm)
-    r_terms = []
-    for u in shell:  # sorted by u
+    pairs, nodes = _enumerate_core(P_half, bound, cap, _QHAT, fourm)
+    kept, singular = [], []
+    for u in pairs:  # one u of each pair +-u: R(-u) is R(u) bit for bit
         assert u[2] % 2 == c.gamma
         r_val = _majorant_R_at(psi_c, two_eta2, _x_of(u))
         if r_val < SINGULAR_R_THRESHOLD:
-            raise SingularPointError(
-                f"z lies on the divisor of u = {u} (R = {r_val:.3e})")
-        if r_val <= radius:
-            r_terms.append(r_val)
+            singular.append((min(u, _neg(u)), r_val))
+        elif r_val <= radius:
+            kept.append((u, r_val))
+    if singular:
+        u, r_val = min(singular)
+        raise SingularPointError(
+            f"z lies on the divisor of u = {u} (R = {r_val:.3e})")
+    terms = []
+    for u, r_val in kept:
+        e1 = exp_e1(2.0 * math.pi * v * r_val)
+        terms += ((u, e1), (_neg(u), e1))
     value = 0.0
-    e1_at = {}  # u and -u share R bit for bit: one exp_e1 per distinct R
-    for r_val in r_terms:
-        e1 = e1_at.get(r_val)
-        if e1 is None:
-            e1 = e1_at[r_val] = exp_e1(2.0 * math.pi * v * r_val)
+    for _, e1 in sorted(terms):  # in lexicographic order of u
         value += e1
-    density = len(r_terms) / radius ** 1.5 if r_terms else 1.0
+    density = len(terms) / radius ** 1.5 if terms else 1.0
     tail_bound = density * radius ** 1.5 * beta1_cut
-    return GreenEvaluation(value=value, terms_used=len(r_terms),
+    return GreenEvaluation(value=value, terms_used=len(terms),
                            tail_bound=tail_bound, radius=radius,
                            nodes_visited=nodes,
-                           min_R=min(r_terms, default=math.inf))
+                           min_R=min((r for _, r in kept), default=math.inf))
 
 
 def primitive_decomposition(c: CaseIndex) -> list[tuple[int, CaseIndex]]:

@@ -265,7 +265,9 @@ def _e1_cf(x: float) -> float:
 
 
 def exp_e1(x: float) -> float:
-    """Fast E1(x) = beta_1(x), series below x = 1.5 and continued fraction above."""
+    """Fast E1(x) = beta_1(x), series below x = 1.5 and continued fraction
+    above; within 128 ulp below x = 4, 32 on [4, 16) and 16 on [16, 60] of
+    a 100-digit reference (measured: 80 ulp near x = 1.5, 24 and 11)."""
     if not x > 0:
         raise ValueError("x must be positive")
     if x < 1.5:

@@ -1,13 +1,14 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import math
 
 import pytest
 
-from kudla_green import cli
+from kudla_green import cli, lattice
 from kudla_green.arith import L_chi_2_series
 from kudla_green.cli import main
 from kudla_green.specfun import Precision
@@ -114,6 +115,16 @@ def test_green_non_finite_input_exit_3(capsys, name, value):
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert out == f"error: {name} must be positive and finite\n"
+
+
+def test_green_cap_overflow_exit_3(capsys, monkeypatch):
+    # the shell holds more than 10 points at radius 6; the default cap of
+    # 2000000 is reached near radius 4e5
+    monkeypatch.setattr(cli, "green_function",
+                        functools.partial(lattice.green_function, cap=10))
+    code, out = run_cli(capsys, *GREEN_ARGS)
+    assert code == 3
+    assert out == "error: more than 10 lattice points below the bound\n"
 
 
 def test_green_singular_point_exit_4(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kudla_green import lattice
 from kudla_green.arith import CaseIndex, split_discriminant
 from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
                                   majorant_gram)
@@ -111,6 +112,13 @@ def test_primitive_decomposition_layers_partition():
 
 def test_enumerate_empty_below_minimum():
     assert enumerate_bounded(Z0, 0.4) == []
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_enumerate_rejects_non_finite_bound(bound):
+    with pytest.raises(ValueError, match="bound must be finite"):
+        enumerate_bounded(Z0, bound)
+    assert enumerate_bounded(Z0, 0.0) == enumerate_bounded(Z0, -1.0) == []
 
 
 def test_enumerate_base_point_contents():
@@ -272,15 +280,33 @@ def test_green_value_is_sum_over_geometry_R():
         assert ev.value == want
 
 
+def _sp4_images(z):
+    """z moved by Sp4(Z) elements, as Z = [[z1, z2], [z2, z3]]: the unit
+    translations Z -> Z + E_k, the inversion Z -> -Z^{-1} and
+    Z -> U Z U^T for U in GL2(Z) (swap, shear, sign)."""
+    z1, z2, z3 = z.z1, z.z2, z.z3
+    images = []
+    for k in range(3):
+        shifted = [z1, z2, z3]
+        shifted[k] += 1
+        images.append(tuple(shifted))
+    det = z1 * z3 - z2 * z2
+    images.append((-z3 / det, z2 / det, -z1 / det))
+    for (a, b), (c, d) in (((0, 1), (1, 0)), ((1, 1), (0, 1)),
+                           ((1, 0), (0, -1))):
+        images.append((a * a * z1 + 2 * a * b * z2 + b * b * z3,
+                       a * c * z1 + (a * d + b * c) * z2 + b * d * z3,
+                       c * c * z1 + 2 * c * d * z2 + d * d * z3))
+    return [SiegelPoint(*w) for w in images]
+
+
 def test_green_invariant_under_unit_translations():
-    # z_k -> z_k + 1 permutes the index set and preserves every R
+    # Sp4(Z) permutes the index set and preserves every R, so the truncated
+    # sum keeps its terms; only the rounding of each R moves
     for z in _random_points(8, seed=3):
         base = green_function(split_discriminant(0, 1), 1.0, z, 6.0)
-        for k in range(3):
-            shifted = [z.z1, z.z2, z.z3]
-            shifted[k] += 1
-            ev = green_function(split_discriminant(0, 1), 1.0,
-                                SiegelPoint(*shifted), 6.0)
+        for image in _sp4_images(z):
+            ev = green_function(split_discriminant(0, 1), 1.0, image, 6.0)
             assert ev.terms_used == base.terms_used
             assert ev.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
 
@@ -484,8 +510,8 @@ def test_green_cap_counts_shell_points():
         green_function(c, 1.0, Z_GENERIC, 4.0, cap=ev.terms_used - 1)
     # the cap bounds shell points, not the whole majorant ellipsoid
     cap = 2 * ev.terms_used
-    ellipsoid, _ = _enumerate_core(_half_gram(Z_GENERIC), 5.0, 0.0, 10**6)
-    assert len(ellipsoid) > cap
+    ellipsoid, _ = _enumerate_core(_half_gram(Z_GENERIC), 5.0, 10**6)
+    assert 2 * len(ellipsoid) > cap
     assert green_function(c, 1.0, Z_GENERIC, 4.0, cap=cap).value == ev.value
 
 
@@ -502,26 +528,48 @@ def test_green_counters():
 
 
 def test_half_tree_matches_full_tree():
-    # the zero form (enumerate_bounded's grids) and the qhat = 4m shell
-    cases = [(majorant_gram(z), bound, 0.0, _ZERO, 0)
+    # the zero form (enumerate_bounded's grids) and the qhat = 4m shell;
+    # the core applies no test of its own, so the reference keeps every
+    # point its full tree yields (slack inf)
+    cases = [(majorant_gram(z), bound, _ZERO, 0)
              for z in _random_points(6, seed=42) for bound in (0.8, 1.7)]
     cases += [(majorant_gram(SiegelPoint(0.3 + 5.0j, 0.1 + 0.2j,
-                                         -0.7 + 0.31j)), 2.0, 0.0, _ZERO, 0),
-              (majorant_gram(Z_GENERIC), 2.2, 0.0, _ZERO, 0)]
-    shells = [(_half_gram(z), m + radius, 1e-10, _QHAT, 4 * m)
+                                         -0.7 + 0.31j)), 2.0, _ZERO, 0),
+              (majorant_gram(Z_GENERIC), 2.2, _ZERO, 0)]
+    shells = [(_half_gram(z), m + radius, _QHAT, 4 * m)
               for z, m, radius in ((Z_GENERIC, 1, 12.0),
                                    (_scan_points(1, seed=5)[0], 2, 8.0),
                                    (_scan_points(2, seed=5)[1], -1, 6.0))]
-    for P, bound, slack, form, target in cases + shells:
-        got, nodes = _enumerate_core(P, bound, slack, 10**6, form, target)
-        want, ref_nodes = _enumerate_full_tree(P, bound, slack, 10**6, form,
-                                               target)
-        assert got == want
+    for P, bound, form, target in cases + shells:
+        got, nodes = _enumerate_core(P, bound, 10**6, form, target)
+        want, ref_nodes = _enumerate_full_tree(P, bound, math.inf, 10**6,
+                                               form, target)
+        negs = [tuple(-x for x in u) for u in got]
+        # one member of each pair, and with its mirror image the full tree
+        assert len(set(got) | set(negs)) == 2 * len(got)
+        assert sorted(got + negs) == want
         # the full tree is the half tree, its mirror image and the shared
         # all-zero prefixes, one per level
         assert ref_nodes == 2 * nodes - 5
         if form is _QHAT:
             assert nodes <= 0.55 * ref_nodes
-        for u in got:
-            neg = tuple(-x for x in u)
+        for u, neg in zip(got, negs):
             assert majorant_value(P, u).hex() == majorant_value(P, neg).hex()
+
+
+def test_green_pays_once_per_pair(monkeypatch):
+    # one R and one E1 per pair +-u: each call count is half the terms
+    calls = {"R": 0, "E1": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "_majorant_R_at",
+                        counted("R", lattice._majorant_R_at))
+    monkeypatch.setattr(lattice, "exp_e1", counted("E1", lattice.exp_e1))
+    ev = green_function(split_discriminant(0, 1), 1.0, Z_GENERIC, 12.0)
+    assert ev.terms_used > 0
+    assert calls == {"R": ev.terms_used // 2, "E1": ev.terms_used // 2}

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -169,6 +170,38 @@ def test_exp_e1_bit_identical_to_reference():
         assert exp_e1(x).hex() == _exp_e1_reference(x).hex(), x
         if x <= 16.0:
             assert e1_series(x).hex() == _e1_series_reference(x).hex(), x
+
+
+# Euler's constant to 101 digits (OEIS A001620)
+_GAMMA_100 = Decimal("0.57721566490153286060651209008240243104215933593992"
+                     "359880576723488486772677766467093694706329174674951")
+
+
+def _e1_decimal(x):
+    """E1(x) = -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!) at 100 digits;
+    the series cancels ~2x / ln 10 digits, ~52 at x = 60."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        X = Decimal(x)
+        total, power, k = Decimal(0), Decimal(1), 0
+        while True:
+            k += 1
+            power = power * X / k
+            term = power / k
+            total += term if k % 2 else -term
+            if term < Decimal(10) ** -110:
+                return -_GAMMA_100 - X.ln() + total
+
+
+def test_exp_e1_within_stated_ulp_of_decimal_series():
+    # the bounds of the exp_e1 docstring: 128 ulp below x = 4, 32 ulp on
+    # [4, 16), 16 ulp on [16, 60]
+    lo, hi = math.log(1e-6), math.log(60.0)
+    for i in range(2001):
+        x = math.exp(lo + (hi - lo) * i / 2000)
+        ref = _e1_decimal(x)
+        err = abs(Decimal(exp_e1(x)) - ref) / Decimal(math.ulp(float(ref)))
+        assert err <= (128 if x < 4 else 32 if x < 16 else 16), x
 
 
 def test_exp_e1_at_infinity_is_zero():
