@@ -23,8 +23,8 @@ from .integrals import (TheoremReport, corollary_check, frozen_normalization,
 from .lattice import (EnumerationCapError, GreenEvaluation, LatticeVector,
                       SingularPointError, enumerate_bounded, green_function,
                       orbit_representative, primitive_decomposition)
-from .specfun import (EULER_GAMMA, I3_minus, I3_plus, J_minus, J_plus,
-                      Precision, QuadratureResult, ToleranceError, beta_s,
+from .specfun import (ABS_TOL, EULER_GAMMA, I3_minus, I3_plus, J_minus,
+                      J_plus, QuadratureResult, ToleranceError, beta_s,
                       e1_series, exp_e1)
 from .volumes import (V22, VolumeConvention, VolumeValue, constant_B,
                       hirzebruch_vol, humbert_V13, vol_sie, zeta_K_minus1)

@@ -24,7 +24,7 @@ from .eisenstein import cohen_H
 from .geometry import GRAM_Q, GRAM_Q_INV, SiegelPoint, majorant_gram
 from .integrals import (heegner_degree, heegner_degree_exact,
                         heegner_degree_via_cohen, theorem2_check)
-from .specfun import FOUR_PI, I3_minus, I3_plus, J_minus, J_plus, Precision
+from .specfun import FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
 from .volumes import V22, hirzebruch_vol, humbert_V13, zeta_K_minus1
 
 
@@ -77,10 +77,10 @@ def cohen_dual(indices: Iterable[int]) -> list[dict]:
     return [_row(f"Bernoulli vs L-series route, worst at {at}", diff)]
 
 
-def degree_dual(cases: Iterable[CaseIndex], prec: Precision) -> list[dict]:
+def degree_dual(cases: Iterable[CaseIndex]) -> list[dict]:
     """deg at m = 1 is 7/144 exactly; -(B/2) C against -(1/12) H(2, 4m)."""
     def rel(c: CaseIndex) -> tuple[float, str]:
-        lhs = heegner_degree(c, prec)
+        lhs = heegner_degree(c)
         rhs = float(heegner_degree_via_cohen(c))
         return abs(lhs - rhs) / max(abs(rhs), 1e-30), f"(gamma={c.gamma}, m={c.m})"
 
@@ -90,35 +90,35 @@ def degree_dual(cases: Iterable[CaseIndex], prec: Precision) -> list[dict]:
             _row(f"coefficient vs class-number route, worst at {at}", diff)]
 
 
-def orbit_plus(grid: Iterable[float], prec: Precision) -> list[dict]:
+def orbit_plus(grid: Iterable[float]) -> list[dict]:
     """I3_plus(a / 4 pi, 1) = J_plus(3/2, a) / 3, one row per a."""
     rows = []
     for a in grid:
-        i3 = I3_plus(a / FOUR_PI, 1.0, prec).value
-        jp = J_plus(1.5, a, prec).value / 3.0
+        i3 = I3_plus(a / FOUR_PI, 1.0).value
+        jp = J_plus(1.5, a).value / 3.0
         rows.append(_row(f"I3_plus = J_plus/3 at a={a}", abs(i3 - jp), i3, jp))
     return rows
 
 
-def orbit_minus(grid: Iterable[float], prec: Precision) -> list[dict]:
+def orbit_minus(grid: Iterable[float]) -> list[dict]:
     """I3_minus(a / 4 pi, -1) = e^{-a} J_minus(3/2, a) / 3, one row per a."""
     rows = []
     for a in grid:
-        i3 = I3_minus(a / FOUR_PI, -1.0, prec).value
-        jm = J_minus(1.5, a, prec).value * math.exp(-a) / 3.0
+        i3 = I3_minus(a / FOUR_PI, -1.0).value
+        jm = J_minus(1.5, a).value * math.exp(-a) / 3.0
         rows.append(_row(f"I3_minus = e^{{-|a|}} J_minus/3 at a={a}",
                          abs(i3 - jm), i3, jm))
     return rows
 
 
-def green_integral(ms: Iterable[int], a_grid: Iterable[float],
-                   prec: Precision) -> list[dict]:
+def green_integral(ms: Iterable[int],
+                   a_grid: Iterable[float]) -> list[dict]:
     """theorem2_check at v = a / (4 pi |m|), one row per (m, a)."""
     rows = []
     for m in ms:
         c = split_discriminant(0, m)
         for a in a_grid:
-            rep = theorem2_check(c, a / (FOUR_PI * abs(m)), prec)
+            rep = theorem2_check(c, a / (FOUR_PI * abs(m)))
             rows.append(_row(f"(4/B) I vs Eisenstein side, m={m}, a={a}",
                              rep.rel_diff, rep.lhs, rep.rhs))
     return rows
@@ -132,11 +132,11 @@ def siegel_condition(points: list[SiegelPoint]) -> list[dict]:
                  _worst(resid)[0])]
 
 
-def volume_spot_values(prec: Precision) -> list[dict]:
+def volume_spot_values() -> list[dict]:
     """V_{1,3}(-4) = G/3, Hirzebruch (5, 1) = 1/15, V_{2,2}(5) via L(2, chi_5),
     with G = L(2, chi_{-4}) and L(2, chi_5) from the oracle."""
     catalan = L_chi_2_series(-4)
-    v13 = humbert_V13(-4, prec).value
+    v13 = humbert_V13(-4).value
     v22 = V22(5).value
     via_L = 5.0 ** 1.5 * L_chi_2_series(5) / 3.0
     return [_row("V_{1,3}(-4) = Catalan/3",

@@ -11,12 +11,13 @@ Three subcommands:
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including a ``--tol`` that is NaN, not positive for ``green`` or
 negative for ``verify``), 3 domain error (point outside the half-space, v
-or radius not positive and finite, a point so far out that the majorant
-Gram matrix loses positive definiteness to rounding, or an enumeration past
-its point cap), 4 singular point (on a Heegner divisor).  Exact rationals
-are printed as exact strings ("p/q"), floats with 15 significant digits;
-identical invocations produce byte-identical output, and the JSON and CSV
-payloads carry the same numbers.
+or radius not positive and finite, v below the smallest normal float, a
+point so far out that the majorant Gram matrix loses positive definiteness
+to rounding, or an enumeration past its point cap), 4 singular point (on a
+Heegner divisor).  Exact rationals are printed as exact strings ("p/q"),
+floats with 15 significant digits; identical invocations produce
+byte-identical output, and the JSON and CSV payloads carry the same
+numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .eisenstein import coefficient_C, cohen_H
 from .geometry import SiegelPoint
 from .integrals import heegner_degree
 from .lattice import EnumerationCapError, SingularPointError, green_function
-from .specfun import Precision
 
 __all__ = ["RunConfig", "cmd_coeff", "cmd_green", "cmd_verify", "main",
            "entrypoint"]
@@ -207,27 +207,26 @@ def _siegel_samples() -> list[SiegelPoint]:
     return points
 
 
-# name -> prec -> rows; each entry fixes the grid of one checks.* criterion.
+# name -> rows; each entry fixes the grid of one checks.* criterion.
 _VERIFY_CHECKS = {
-    "divisor-sum-exact": lambda prec: checks.divisor_sum(
+    "divisor-sum-exact": lambda: checks.divisor_sum(
         (D0, f) for D0 in (1, 5, -4, 8, -8, 12, -3, 13)
         for f in (1, 2, 3, 4, 6, 12)),
-    "cohen-dual-route": lambda prec: checks.cohen_dual(
+    "cohen-dual-route": lambda: checks.cohen_dual(
         n4 for n4 in range(1, 121) if n4 % 4 in (0, 1)),
-    "degree-dual-route": lambda prec: checks.degree_dual(
+    "degree-dual-route": lambda: checks.degree_dual(
         [split_discriminant(0, m) for m in range(1, 13)]
-        + [split_discriminant(1, Fraction(n4, 4)) for n4 in range(1, 42, 4)],
-        prec),
-    "orbit-integral-reduction": lambda prec: checks.orbit_plus((0.5, 2.0), prec),
+        + [split_discriminant(1, Fraction(n4, 4)) for n4 in range(1, 42, 4)]),
+    "orbit-integral-reduction": lambda: checks.orbit_plus((0.5, 2.0)),
     "orbit-integral-negative-convention":  # int a, so the label reads a=1
-        lambda prec: checks.orbit_minus((1,), prec),
-    "green-integral-identity": lambda prec: checks.green_integral(
-        (1, 2, -1), (1.0, 2.0), prec),
+        lambda: checks.orbit_minus((1,)),
+    "green-integral-identity": lambda: checks.green_integral(
+        (1, 2, -1), (1.0, 2.0)),
     "majorant-siegel-condition":
-        lambda prec: checks.siegel_condition(_siegel_samples()),
+        lambda: checks.siegel_condition(_siegel_samples()),
     "volume-spot-values": checks.volume_spot_values,
     "zeta-functional-equation":
-        lambda prec: checks.zeta_functional_equation((5, 8, 13)),
+        lambda: checks.zeta_functional_equation((5, 8, 13)),
 }
 
 
@@ -240,10 +239,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
             return EXIT_USAGE, (f"error: unknown check {cfg.only!r}; "
                                 f"choose from {', '.join(names)}\n")
         names = [cfg.only]
-    prec = Precision()
     rows = []
     for name in names:
-        for res in _VERIFY_CHECKS[name](prec):
+        for res in _VERIFY_CHECKS[name]():
             status = "PASS" if res["diff"] <= cfg.tol else "FAIL"
             rows.append({
                 "name": name,

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, sigma_gamma_m,
                     xi_twisted)
-from .specfun import FOUR_PI, J_minus, J_plus, Precision
+from .specfun import ABS_TOL, FOUR_PI, J_minus, J_plus
 
 __all__ = [
     "COHEN_H_AT_ZERO",
@@ -65,9 +65,9 @@ def coefficient_C_prefactor(c: CaseIndex) -> Fraction:
     return _C_FRONT * sigma_gamma_m(c)
 
 
-def coefficient_C(c: CaseIndex, prec: Precision = Precision()) -> float:
+def coefficient_C(c: CaseIndex) -> float:
     """C(gamma, m, 0) = -960 pi^{-2} |m|^{3/2} L(2, chi_{D0}) sigma_{gamma,m}(5/2)."""
-    L2 = L_chi_2(c.D0, prec.abs_tol)
+    L2 = L_chi_2(c.D0, ABS_TOL)
     return (float(coefficient_C_prefactor(c)) * abs(float(c.m)) ** 1.5
             * L2 / math.pi ** 2)
 
@@ -83,18 +83,17 @@ def coefficient_C_exact(c: CaseIndex) -> Fraction | None:
     return Fraction(-20) * xi_twisted(1, c.f)
 
 
-def coefficient_c0(c: CaseIndex, v: float, prec: Precision = Precision()) -> float:
+def coefficient_c0(c: CaseIndex, v: float) -> float:
     """c0(gamma, m, 0, v) = C e^{-a/2} for m > 0 (a = 4 pi m v); 0 for m < 0."""
     if v <= 0:
         raise ValueError("v must be positive")
     if c.m < 0:
         return 0.0
     a = FOUR_PI * float(c.m) * v
-    return coefficient_C(c, prec) * math.exp(-0.5 * a)
+    return coefficient_C(c) * math.exp(-0.5 * a)
 
 
-def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float,
-                         prec: Precision = Precision()) -> float:
+def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float) -> float:
     """s-derivative coefficient c0'(gamma, m, 0, v).
 
     m > 0:  C e^{-a/2} (J_plus(3/2, a) + kappa)   with kappa = C'/C supplied;
@@ -103,8 +102,8 @@ def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float,
     if v <= 0:
         raise ValueError("v must be positive")
     a = FOUR_PI * float(c.m) * v
-    C = coefficient_C(c, prec)
+    C = coefficient_C(c)
     if c.m > 0:
-        return C * math.exp(-0.5 * a) * (J_plus(1.5, a, prec).value + kappa)
+        return C * math.exp(-0.5 * a) * (J_plus(1.5, a).value + kappa)
     a = abs(a)
-    return C * math.exp(-0.5 * a) * J_minus(1.5, a, prec).value
+    return C * math.exp(-0.5 * a) * J_minus(1.5, a).value

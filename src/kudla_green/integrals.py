@@ -37,8 +37,7 @@ from .arith import CaseIndex, split_discriminant
 from .eisenstein import (cohen_H, coefficient_C, coefficient_C_exact,
                          coefficient_c0, coefficient_c0_prime)
 from .lattice import primitive_decomposition
-from .specfun import (EULER_GAMMA, FOUR_PI, I3_minus, I3_plus, J_minus,
-                      J_plus, Precision)
+from .specfun import EULER_GAMMA, FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
 from .volumes import constant_B, vol_sie
 
 __all__ = [
@@ -82,11 +81,11 @@ class TheoremReport:
 # Degrees
 # ---------------------------------------------------------------------------
 
-def heegner_degree(c: CaseIndex, prec: Precision = Precision()) -> float:
+def heegner_degree(c: CaseIndex) -> float:
     """deg H(gamma, m) = -(B/2) C(gamma, m, 0) with B = 1/1440; positive."""
     if c.m <= 0:
         raise ValueError("degrees are defined for m > 0")
-    return -float(constant_B()) / 2.0 * coefficient_C(c, prec)
+    return -float(constant_B()) / 2.0 * coefficient_C(c)
 
 
 def heegner_degree_exact(c: CaseIndex) -> Fraction | None:
@@ -106,7 +105,7 @@ def heegner_degree_via_cohen(c: CaseIndex) -> Fraction:
 # Green-function integrals
 # ---------------------------------------------------------------------------
 
-def kudla_integral(c: CaseIndex, v: float, prec: Precision = Precision()) -> float:
+def kudla_integral(c: CaseIndex, v: float) -> float:
     """Integral of the Green function over the quotient, by unfolding.
 
     pref * sum over the primitive layers of the Siegel covolume of the
@@ -118,35 +117,30 @@ def kudla_integral(c: CaseIndex, v: float, prec: Precision = Precision()) -> flo
     layers = primitive_decomposition(c)
     if c.m > 0:
         pref = CASE_I_PREFACTOR
-        orbit = I3_plus(v, float(c.m), prec).value
+        orbit = I3_plus(v, float(c.m)).value
     else:
         pref = CASE_II_PREFACTOR
-        orbit = I3_minus(v, float(c.m), prec).value
-    vols = sum(vol_sie(cn, prec).value for _, cn in layers)
+        orbit = I3_minus(v, float(c.m)).value
+    vols = sum(vol_sie(cn).value for _, cn in layers)
     return pref * vols * orbit
 
 
-def frozen_normalization(prec: Precision = Precision()) -> float:
+@lru_cache(maxsize=None)
+def frozen_normalization() -> float:
     """Measure normalization fixed once at (m, a) = (1, 1) and then reused.
 
     The conventions in this package make it 1 up to quadrature error; it is
     still measured, frozen and applied, so any normalization drift would
     surface as a multi-point failure instead of being calibrated away.
     """
-    return _frozen_normalization_at(prec)
-
-
-@lru_cache(maxsize=None)
-def _frozen_normalization_at(prec: Precision) -> float:
     c1 = split_discriminant(0, 1)
     v1 = 1.0 / FOUR_PI  # a = 4 pi m v = 1
-    lhs_raw = 4.0 / float(constant_B()) * kudla_integral(c1, v1, prec)
-    rhs = abs(coefficient_C(c1, prec)) * J_plus(1.5, 1.0, prec).value
+    lhs_raw = 4.0 / float(constant_B()) * kudla_integral(c1, v1)
+    rhs = abs(coefficient_C(c1)) * J_plus(1.5, 1.0).value
     return rhs / lhs_raw
 
 
-def theorem2_check(c: CaseIndex, v: float,
-                   prec: Precision = Precision()) -> TheoremReport:
+def theorem2_check(c: CaseIndex, v: float) -> TheoremReport:
     """Compare (4/B) I(gamma, m, v) against the Eisenstein side.
 
     lhs: (4/|B|) * frozen * kudla_integral (positive); rhs magnitude:
@@ -155,15 +149,15 @@ def theorem2_check(c: CaseIndex, v: float,
     route labels (lhs is +, the Eisenstein side is C < 0 times a positive
     factor, consistent with the analytic sign of B).
     """
-    lhs = (4.0 / float(constant_B()) * frozen_normalization(prec)
-           * kudla_integral(c, v, prec))
+    lhs = (4.0 / float(constant_B()) * frozen_normalization()
+           * kudla_integral(c, v))
     a = FOUR_PI * abs(float(c.m)) * v
-    C = coefficient_C(c, prec)
+    C = coefficient_C(c)
     if c.m > 0:
-        rhs_signed = C * J_plus(1.5, a, prec).value
+        rhs_signed = C * J_plus(1.5, a).value
         rhs_label = "C * J_plus(3/2, a)"
     else:
-        rhs_signed = C * J_minus(1.5, a, prec).value * math.exp(-a)
+        rhs_signed = C * J_minus(1.5, a).value * math.exp(-a)
         rhs_label = "C * J_minus(3/2, |a|) * exp(-|a|)"
     return TheoremReport(
         lhs=abs(lhs),
@@ -173,8 +167,7 @@ def theorem2_check(c: CaseIndex, v: float,
     )
 
 
-def ibk_integral(c: CaseIndex, kappa: float,
-                 prec: Precision = Precision()) -> float:
+def ibk_integral(c: CaseIndex, kappa: float) -> float:
     """Integral of the counterpart Green function with built-in log term.
 
     (|B|/4) (-C) (kappa + log(4 pi) + gamma_E) for m > 0 (Gamma'(1) =
@@ -182,24 +175,23 @@ def ibk_integral(c: CaseIndex, kappa: float,
     """
     if c.m < 0:
         return 0.0
-    C = coefficient_C(c, prec)
+    C = coefficient_C(c)
     return (float(constant_B()) / 4.0 * (-C)
             * (kappa + math.log(4.0 * math.pi) + EULER_GAMMA))
 
 
-def _corollary_rhs(c: CaseIndex, v: float, kappa: float, star: float,
-                   prec: Precision) -> float:
+def _corollary_rhs(c: CaseIndex, v: float, kappa: float, star: float) -> float:
     """e^{-a/2} (4/B)(I - I_counterpart) + star * c0, with signed a and the
     analytic (negative) sign of B."""
     a = FOUR_PI * float(c.m) * v
     four_over_B = 4.0 / float(constant_B())
-    val = (-four_over_B * frozen_normalization(prec) * kudla_integral(c, v, prec)
-           - four_over_B * ibk_integral(c, kappa, prec))
-    return math.exp(-0.5 * a) * val + star * coefficient_c0(c, v, prec)
+    val = (-four_over_B * frozen_normalization() * kudla_integral(c, v)
+           - four_over_B * ibk_integral(c, kappa))
+    return math.exp(-0.5 * a) * val + star * coefficient_c0(c, v)
 
 
-def corollary_check(c: CaseIndex, v: float, kappa: float, star: float,
-                    prec: Precision = Precision()) -> TheoremReport:
+def corollary_check(c: CaseIndex, v: float, kappa: float,
+                    star: float) -> TheoremReport:
     """Compare c0' against e^{-a/2} (4/B)(I - I_counterpart) + star * c0.
 
     star is the undetermined constant of the difference identity, supplied
@@ -207,8 +199,8 @@ def corollary_check(c: CaseIndex, v: float, kappa: float, star: float,
     the counterpart integral and c0 both vanish and the identity is exact
     regardless of star and kappa.
     """
-    lhs = coefficient_c0_prime(c, v, kappa, prec)
-    rhs = _corollary_rhs(c, v, kappa, star, prec)
+    lhs = coefficient_c0_prime(c, v, kappa)
+    rhs = _corollary_rhs(c, v, kappa, star)
     return TheoremReport(
         lhs=lhs, rhs=rhs,
         route_labels=("c0'(gamma, m, 0, v)",
@@ -216,8 +208,7 @@ def corollary_check(c: CaseIndex, v: float, kappa: float, star: float,
     )
 
 
-def solve_star(c: CaseIndex, v: float, kappa: float,
-               prec: Precision = Precision()) -> float:
+def solve_star(c: CaseIndex, v: float, kappa: float) -> float:
     """The star value zeroing the corollary residual at (c, v, kappa).
 
     Defined for m > 0 only (for m < 0 the star term is dead).  The solved
@@ -226,7 +217,7 @@ def solve_star(c: CaseIndex, v: float, kappa: float,
     """
     if c.m <= 0:
         raise ValueError("star is determined only on the m > 0 branch")
-    c0 = coefficient_c0(c, v, prec)
-    base = _corollary_rhs(c, v, kappa, 0.0, prec)
-    lhs = coefficient_c0_prime(c, v, kappa, prec)
+    c0 = coefficient_c0(c, v)
+    base = _corollary_rhs(c, v, kappa, 0.0)
+    lhs = coefficient_c0_prime(c, v, kappa)
     return (lhs - base) / c0

@@ -37,6 +37,7 @@ for the Green function, qhat = 4m) reproduces the output exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +62,8 @@ __all__ = [
 
 SINGULAR_R_THRESHOLD = 1e-14
 _LLL_DELTA = 0.75  # Lovasz constant of the basis reduction
+# most lattice points one enumeration may find, both members of each pair +-u
+_POINT_CAP = 2_000_000
 
 
 def _x_of(u) -> tuple:
@@ -87,7 +90,7 @@ class SingularPointError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Enumeration aborted: point count exceeded the configured cap."""
+    """Enumeration aborted: point count exceeded the point cap."""
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,18 @@ def majorant_value(P: np.ndarray, u) -> float:
     return 0.5 * float(v @ P @ v)
 
 
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A; ValueError if A is not positive definite.
+
+    A point far out can pass `majorant_gram`'s check and still lose
+    positive definiteness to rounding once the basis is reduced.
+    """
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise ValueError("majorant Gram matrix not positive definite") from None
+
+
 def _lll_transform(P: np.ndarray) -> np.ndarray:
     """Unimodular T with T^T P T LLL-reduced (P symmetric positive definite).
 
@@ -174,7 +189,7 @@ def _lll_transform(P: np.ndarray) -> np.ndarray:
     T = np.eye(n, dtype=np.int64)
 
     def gso():
-        L = np.linalg.cholesky(T.T @ P @ T)
+        L = _cholesky(T.T @ P @ T)
         d = np.diag(L)
         return L / d, d * d
 
@@ -223,8 +238,7 @@ def _shell_roots(a: int, b: int, c: int, lo: int, hi: int):
     return sorted(roots)
 
 
-def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
-                  form: list[list[int]],
+def _fincke_pohst(P: np.ndarray, limit: float, form: list[list[int]],
                   target: int) -> tuple[list[tuple[int, ...]], int]:
     """One w of each pair +-w of nonzero integer vectors with
     w^T P w <= limit (P positive definite) and w^T Q w = target for the
@@ -247,11 +261,12 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
     w -> -w every quantity these tests read is negated or kept exactly in
     IEEE arithmetic (t, the range ends, b and the roots are negated; s * s,
     rem and qtail are kept), so the full tree is this one and its mirror
-    image, and the node count is that of the half tree.  `cap` bounds the
-    points of the full tree, both members of each pair counted.
+    image, and the node count is that of the half tree.  _POINT_CAP bounds
+    the points of the full tree, both members of each pair counted.
     """
     n = P.shape[0]
-    R = np.linalg.cholesky(P).T.tolist()
+    R = _cholesky(P).T.tolist()
+    cap = _POINT_CAP
     slack = limit * 1e-9 + 1e-9
     budget = limit + slack
     out: list[tuple[int, ...]] = []
@@ -300,7 +315,7 @@ def _fincke_pohst(P: np.ndarray, limit: float, cap: int,
     return out, nodes
 
 
-def _enumerate_core(P: np.ndarray, bound: float, cap: int,
+def _enumerate_core(P: np.ndarray, bound: float,
                     form: np.ndarray = _ZERO_FORM,
                     target: int = 0) -> tuple[list[tuple[int, ...]], int]:
     """One u = T w of each pair +-u of nonzero integer vectors that the
@@ -314,7 +329,7 @@ def _enumerate_core(P: np.ndarray, bound: float, cap: int,
     P_red = 0.5 * (P_red + P_red.T)
     T_obj = T.astype(object)  # exact Python-int products
     form_red = (T_obj.T @ form.astype(object) @ T_obj).tolist()
-    points, nodes = _fincke_pohst(P_red, 2.0 * bound, cap, form_red, target)
+    points, nodes = _fincke_pohst(P_red, 2.0 * bound, form_red, target)
     U = np.array(points, dtype=np.int64).reshape(-1, len(T)) @ T.T  # exact
     return [tuple(u) for u in U.tolist()], nodes
 
@@ -323,8 +338,7 @@ def _neg(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([-x for x in u])
 
 
-def enumerate_bounded(z: SiegelPoint, bound: float,
-                      cap: int = 2_000_000) -> list[LatticeVector]:
+def enumerate_bounded(z: SiegelPoint, bound: float) -> list[LatticeVector]:
     """Nonzero integer vectors u with (1/2) u^T P_z u <= bound.
 
     P_z is the majorant Gram matrix at z, so the quantity bounded is
@@ -338,7 +352,7 @@ def enumerate_bounded(z: SiegelPoint, bound: float,
     if not math.isfinite(bound):
         raise ValueError("bound must be finite")
     P = majorant_gram(z)
-    pairs, _ = _enumerate_core(P, bound, cap)
+    pairs, _ = _enumerate_core(P, bound)
     found = [w for u in pairs if majorant_value(P, u) <= bound
              for w in (u, _neg(u))]
     return [LatticeVector(*u) for u in sorted(found)]
@@ -348,14 +362,14 @@ def enumerate_bounded(z: SiegelPoint, bound: float,
 # The Green function
 # ---------------------------------------------------------------------------
 
-def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
-                   cap: int = 2_000_000) -> GreenEvaluation:
+def green_function(c: CaseIndex, v: float, z: SiegelPoint,
+                   radius: float) -> GreenEvaluation:
     """Truncated Green function  sum_u beta_1(2 pi v R(x(u), z))  at z.
 
     The sum runs over u with qhat(u) = 4m and R(x(u), z) <= radius.  The
     enumeration walks the majorant ellipsoid q(x(u)) + R = m + R <= m + radius
     and solves qhat(u) = 4m for the innermost reduced coordinate, so it
-    yields the shell points only, one u of each pair +-u; `cap` bounds
+    yields the shell points only, one u of each pair +-u; _POINT_CAP bounds
     their number, both members counted (EnumerationCapError beyond it).
     Each pair pays one R at x(u): R <= radius alone keeps it, with one E1
     value for u and -u.  Terms are added in lexicographic order of u
@@ -365,10 +379,15 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
     tail_bound reports the crude shell estimate
     c(z) * radius^{3/2} * e^{-t}/t at t = 2 pi v radius, with c(z)
     calibrated from the enumerated count; it is reported, never added.
-    v and radius must be positive and finite (ValueError).
+    v and radius must be positive and finite, and v at least the smallest
+    normal float, so that 2 pi v R stays positive for R >= 1e-14
+    (ValueError).
     """
     if not (v > 0 and math.isfinite(v)):
         raise ValueError("v must be positive and finite")
+    if v < sys.float_info.min:
+        raise ValueError(f"v must be at least {sys.float_info.min!r}, "
+                         "the smallest normal float")
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
     fourm = int(4 * c.m)
@@ -383,7 +402,7 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint, radius: float,
         return GreenEvaluation(value=0.0, terms_used=0,
                                tail_bound=radius ** 1.5 * beta1_cut,
                                radius=radius)
-    pairs, nodes = _enumerate_core(P_half, bound, cap, _QHAT, fourm)
+    pairs, nodes = _enumerate_core(P_half, bound, _QHAT, fourm)
     kept, singular = [], []
     for u in pairs:  # one u of each pair +-u: R(-u) is R(u) bit for bit
         assert u[2] % 2 == c.gamma

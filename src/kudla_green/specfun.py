@@ -25,6 +25,11 @@ start window T0 at c = _START_EFOLDS (46) e-folding lengths of its decay
 factor (x2, or x1.5 for I3_pm) and its analytic tail bound; the window grows
 until that bound is at most half the tolerance, so the constant only sets
 where the search starts.
+
+Every integral here runs under one numerical contract: the absolute
+tolerance ABS_TOL = 1e-10 on the returned value (tail bound included) and a
+budget of 4,000 panel splits per integral; past the budget
+`adaptive_quadrature` raises ToleranceError.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "Precision",
+    "ABS_TOL",
     "QuadratureResult",
     "ToleranceError",
     "EULER_GAMMA",
@@ -51,6 +56,11 @@ EULER_GAMMA = 0.57721566490153286061
 
 FOUR_PI = 4.0 * math.pi
 
+# absolute tolerance on every returned integral, tail bound included
+ABS_TOL = 1e-10
+# panel-split budget of one `adaptive_quadrature` call
+_MAX_SUBDIVISIONS = 4000
+
 # start window edge of `_truncated`, in e-folding lengths of the decay
 _START_EFOLDS = 46.0
 # domain of `e1_series`: past it cancellation eats E1's digits (none by x = 20)
@@ -61,24 +71,6 @@ _E1_SERIES_TERMS = 120
 
 class ToleranceError(RuntimeError):
     """Requested tolerance not reached within the subdivision budget."""
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Quadrature/truncation contract.
-
-    abs_tol          -- absolute tolerance on the returned value
-    max_subdivisions -- panel-split budget for the adaptive scheme, finite
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not 1 <= self.max_subdivisions < math.inf:
-            raise ValueError("max_subdivisions must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -143,16 +135,15 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
     return half * acc_k, abs(half * (acc_k - acc_g))
 
 
-def adaptive_quadrature(f, a: float, b: float, prec: Precision,
-                        tail_bound: float = 0.0,
+def adaptive_quadrature(f, a: float, b: float, tail_bound: float = 0.0,
                         seeds: list[float] | None = None) -> QuadratureResult:
     """Deterministic adaptive Gauss-Kronrod integration of f on [a, b].
 
     The panel with the largest error estimate is bisected (ties broken by
     the smaller left endpoint) until the total estimate plus `tail_bound`
-    is at or below prec.abs_tol, or the subdivision budget runs out.
+    is at or below ABS_TOL, or the subdivision budget runs out.
     The final value is accumulated in left-to-right panel order, so a
-    given (f, a, b, prec, seeds) always reproduces bit-identical output.
+    given (f, a, b, tail_bound, seeds) always reproduces bit-identical output.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -165,10 +156,10 @@ def adaptive_quadrature(f, a: float, b: float, prec: Precision,
         evals += 15
     splits = 0
     total_err = sum(p[3] for p in panels)
-    while total_err + tail_bound > prec.abs_tol:
-        if splits >= prec.max_subdivisions:
+    while total_err + tail_bound > ABS_TOL:
+        if splits >= _MAX_SUBDIVISIONS:
             raise ToleranceError(
-                f"tolerance {prec.abs_tol} not reached: error estimate "
+                f"tolerance {ABS_TOL} not reached: error estimate "
                 f"{total_err + tail_bound:.3e} after {splits} subdivisions")
         worst = max(range(len(panels)),
                     key=lambda i: (panels[i][3], -panels[i][0]))
@@ -281,26 +272,26 @@ def exp_e1(x: float) -> float:
 # The five integrals (I3_pm: inner r-integral in closed form, beta_1)
 # ---------------------------------------------------------------------------
 
-def _truncated(f, lo: float, T: float, grow: float, tail_at, first,
-               prec: Precision) -> QuadratureResult:
+def _truncated(f, lo: float, T: float, grow: float, tail_at,
+               first) -> QuadratureResult:
     """int_lo^oo f as a quadrature on [lo, T] plus an analytic tail bound.
 
-    T grows by the factor `grow` until tail_at(T) <= abs_tol / 2; cut points
+    T grows by the factor `grow` until tail_at(T) <= ABS_TOL / 2; cut points
     lo + first(T) 2^k (at most 200) split the window, and the tail is added
     to the error estimate.
     """
     tail = tail_at(T)
-    while tail > 0.5 * prec.abs_tol:
+    while tail > 0.5 * ABS_TOL:
         T *= grow
         tail = tail_at(T)
     seeds, step = [], first(T)
     while lo + step < T and len(seeds) < 200:
         seeds.append(lo + step)
         step *= 2.0
-    return adaptive_quadrature(f, lo, T, prec, tail_bound=tail, seeds=seeds)
+    return adaptive_quadrature(f, lo, T, tail_bound=tail, seeds=seeds)
 
 
-def beta_s(s: float, x: float, prec: Precision = Precision()) -> QuadratureResult:
+def beta_s(s: float, x: float) -> QuadratureResult:
     """beta_s(x) = int_1^oo e^{-x t} t^{-s} dt; beta_1 is the exponential integral E1.
 
     Tail: for T >= 1 and s >= 0, int_T^oo e^{-xt} t^{-s} dt <= e^{-xT}/x.
@@ -315,10 +306,10 @@ def beta_s(s: float, x: float, prec: Precision = Precision()) -> QuadratureResul
 
     return _truncated(integrand, 1.0, 1.0 + _START_EFOLDS / x, 2.0,
                       lambda T: math.exp(-x * T) / x,
-                      lambda T: min(1.0, 1.0 / x), prec)
+                      lambda T: min(1.0, 1.0 / x))
 
 
-def J_plus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResult:
+def J_plus(s: float, a: float) -> QuadratureResult:
     """J_plus(s, a) = int_0^oo e^{-a w} ((w+1)^s - 1) dw / w  for 0 < s <= 2.
 
     The w -> 0 limit of the integrand is s (removable singularity),
@@ -339,10 +330,10 @@ def J_plus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResul
     return _truncated(
         integrand, 0.0, _START_EFOLDS / a, 2.0,
         lambda T: s * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a)),
-        lambda T: min(0.5, 0.5 / a), prec)
+        lambda T: min(0.5, 0.5 / a))
 
 
-def J_minus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResult:
+def J_minus(s: float, a: float) -> QuadratureResult:
     """J_minus(s, a) = int_0^oo e^{-a w} w^s dw / (w+1)  for 0 < s <= 2.
 
     0 < J_minus(s,a) < Gamma(s+1)/a^{s+1}.  Tail: for T >= 1 and s <= 2,
@@ -358,10 +349,10 @@ def J_minus(s: float, a: float, prec: Precision = Precision()) -> QuadratureResu
 
     return _truncated(integrand, 0.0, max(1.0, _START_EFOLDS / a), 2.0,
                       lambda T: math.exp(-a * T) * (T / a + 1.0 / (a * a)),
-                      lambda T: min(0.5, 0.5 / a), prec)
+                      lambda T: min(0.5, 0.5 / a))
 
 
-def I3_plus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
+def I3_plus(v: float, m) -> QuadratureResult:
     """Positive-index orbit integral, depending on (v, m) only through a = 4 pi m v.
 
     With the inner integral int_1^oo e^{-cr} dr/r = beta_1(c) this is
@@ -388,10 +379,10 @@ def I3_plus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
 
     T0 = max(1.0, math.asinh(math.sqrt(_START_EFOLDS / a)))
     return _truncated(integrand, 0.0, T0, 1.5, tail_at,
-                      lambda T: T / 256.0, prec)
+                      lambda T: T / 256.0)
 
 
-def I3_minus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
+def I3_minus(v: float, m) -> QuadratureResult:
     """Negative-index orbit integral; depends on (v, m) only through a = 4 pi |m| v.
 
         int_0^oo beta_1(a cosh^2 t) sinh^2 t cosh t dt,   a = 4 pi |m| v.
@@ -416,4 +407,4 @@ def I3_minus(v: float, m, prec: Precision = Precision()) -> QuadratureResult:
 
     T0 = max(1.0, math.asinh(math.sqrt(_START_EFOLDS / a)))
     return _truncated(integrand, 0.0, T0, 1.5, tail_at,
-                      lambda T: T / 64.0, prec)
+                      lambda T: T / 64.0)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, euler_factor,
                     is_fundamental_discriminant)
-from .specfun import Precision
+from .specfun import ABS_TOL
 
 __all__ = [
     "VolumeConvention",
@@ -87,12 +87,12 @@ def zeta_K_minus1(dK: int) -> Fraction:
     return ZETA_MINUS1 * bernoulli_L_minus1(dK)
 
 
-def humbert_V13(dK: int, prec: Precision = Precision()) -> VolumeValue:
+def humbert_V13(dK: int) -> VolumeValue:
     """Covolume |dK|^{3/2} L(2, chi_{dK}) / 24 of the imaginary-quadratic
     modular group on hyperbolic 3-space (dK < 0 fundamental)."""
     if dK >= 0 or not is_fundamental_discriminant(dK):
         raise ValueError(f"dK = {dK} is not an imaginary quadratic discriminant")
-    L2 = L_chi_2(dK, prec.abs_tol)
+    L2 = L_chi_2(dK, ABS_TOL)
     return VolumeValue(value=abs(dK) ** 1.5 * L2 / 24.0, exact_part=None,
                        convention=VolumeConvention.H_PLUS)
 
@@ -115,7 +115,7 @@ def V22(dK: int) -> VolumeValue:
                        convention=VolumeConvention.H2_UNIT, pi_power=2)
 
 
-def vol_sie(c: CaseIndex, prec: Precision = Precision()) -> VolumeValue:
+def vol_sie(c: CaseIndex) -> VolumeValue:
     """Stabilizer covolume in the Siegel normalization.
 
     The sign of m picks the domain:
@@ -132,7 +132,7 @@ def vol_sie(c: CaseIndex, prec: Precision = Precision()) -> VolumeValue:
         exact = pref * (-2) * bernoulli_L_minus1(c.D0) * c.f ** 3 * euler
         return VolumeValue(value=float(exact) * math.pi ** 2, exact_part=exact,
                            convention=VolumeConvention.SIEGEL, pi_power=2)
-    L2 = L_chi_2(c.D0, prec.abs_tol)
+    L2 = L_chi_2(c.D0, ABS_TOL)
     value = float(pref) * abs(c.D0) ** 1.5 * L2 * c.f ** 3 * float(euler)
     return VolumeValue(value=value, exact_part=None,
                        convention=VolumeConvention.SIEGEL)

@@ -17,9 +17,7 @@ from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
 from kudla_green.integrals import frozen_normalization
 from kudla_green.lattice import (enumerate_bounded, majorant_value,
                                  orbit_representative)
-from kudla_green.specfun import Precision, exp_e1
-
-PREC = Precision()
+from kudla_green.specfun import exp_e1
 
 
 def _report(num, label, elapsed, budget, passed=True):
@@ -54,7 +52,7 @@ def test_criterion_3_degree_dual_route():
     t0 = time.time()
     cases = [split_discriminant(0, m) for m in range(1, 31)]
     cases += [split_discriminant(1, Fraction(n, 4)) for n in range(1, 62, 4)]
-    exact, dual = checks.degree_dual(cases, PREC)
+    exact, dual = checks.degree_dual(cases)
     worst = dual["diff"]
     _report(3, f"degree dual route on {len(cases)} indices, worst rel {worst:.1e}",
             time.time() - t0, 5.0, passed=exact["diff"] == 0.0 and worst <= 1e-9)
@@ -64,13 +62,13 @@ def test_criterion_4_orbit_integral_reduction():
     """I3_plus = J_plus/3 to 1e-8 on the a-grid; I3_minus fixes e^{-|a|}."""
     t0 = time.time()
     grid = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    worst_plus = checks.worst_diff(checks.orbit_plus(grid, PREC))
+    worst_plus = checks.worst_diff(checks.orbit_plus(grid))
     # the quadrature picks the decaying prefactor e^{-|a|} over e^{+|a|} ...
-    (at_one,) = checks.orbit_minus((1.0,), PREC)
+    (at_one,) = checks.orbit_minus((1.0,))
     growing = abs(at_one["lhs"] - at_one["rhs"] * math.exp(2.0))
     assert at_one["diff"] < growing
     # ... and that convention then holds on the whole grid
-    worst_minus = checks.worst_diff(checks.orbit_minus(grid, PREC))
+    worst_minus = checks.worst_diff(checks.orbit_minus(grid))
     _report(4, f"orbit-integral reduction, worst |diff| +:{worst_plus:.1e} -:{worst_minus:.1e}",
             time.time() - t0, 30.0,
             passed=worst_plus <= 1e-8 and worst_minus <= 1e-8)
@@ -79,9 +77,9 @@ def test_criterion_4_orbit_integral_reduction():
 def test_criterion_5_green_integral_identity():
     """Frozen at (m, a) = (1, 1); every other grid point matches to 1e-6."""
     t0 = time.time()
-    frozen = frozen_normalization(PREC)
+    frozen = frozen_normalization()
     worst = checks.worst_diff(checks.green_integral(
-        (1, 2, 5, -1, -2), (0.5, 1.0, 2.0, 5.0), PREC))
+        (1, 2, 5, -1, -2), (0.5, 1.0, 2.0, 5.0)))
     _report(5, f"Green-integral identity, frozen const {frozen:.12f}, worst rel {worst:.1e}",
             time.time() - t0, 60.0, passed=worst <= 1e-6)
 
@@ -176,7 +174,7 @@ def test_criterion_8_log_singularity():
 def test_criterion_9_volume_spot_values():
     """V13(-4) = Catalan/3, Hirzebruch (5,1) = 1/15 exact, V22 dual routes."""
     t0 = time.time()
-    v13, hirzebruch, v22 = checks.volume_spot_values(PREC)
+    v13, hirzebruch, v22 = checks.volume_spot_values()
     d_v13 = abs(v13["lhs"] - v13["rhs"])
     d_v22 = v22["diff"]
     _report(9, f"volume spot values, |d13| {d_v13:.1e}, V22 rel {d_v22:.1e}",

@@ -1,17 +1,17 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import csv
-import functools
+import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
 from kudla_green import cli, lattice
 from kudla_green.arith import L_chi_2_series
 from kudla_green.cli import main
-from kudla_green.specfun import Precision
 
 GREEN_ARGS = ["green", "--z1", "0.1+1.1i", "--z2", "0.2+0.15i",
               "--z3=-0.3+1.3i", "--m", "1", "--gamma", "0",
@@ -117,11 +117,38 @@ def test_green_non_finite_input_exit_3(capsys, name, value):
     assert out == f"error: {name} must be positive and finite\n"
 
 
+def test_green_far_point_cholesky_failure_exit_3(capsys):
+    # passes majorant_gram's check, but the reduced Gram matrix loses
+    # positive definiteness to rounding inside the enumeration
+    code, out = run_cli(capsys, "green",
+                        "--z1=-2.1066463769301604+1.927729745487047i",
+                        "--z2", "0.9802269730176029+1.101430037749781i",
+                        "--z3", "9998.914313999301+0.9991160152587389i",
+                        "--m", "5/4", "--gamma", "1",
+                        "--v", "0.9117224885582169",
+                        "--radius", "5.484124898473129")
+    assert code == 3
+    assert out == "error: majorant Gram matrix not positive definite\n"
+
+
+def test_green_subnormal_v_exit_3(capsys):
+    # 2 pi v R would underflow to 0 for the smallest R the sum keeps
+    argv = list(GREEN_ARGS)
+    argv[argv.index("--v") + 1] = "5e-324"
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == (f"error: v must be at least {sys.float_info.min!r}, "
+                   "the smallest normal float\n")
+    argv[argv.index("--v") + 1] = repr(sys.float_info.min)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert int(out.splitlines()[1].split("\t")[1]) > 0
+
+
 def test_green_cap_overflow_exit_3(capsys, monkeypatch):
-    # the shell holds more than 10 points at radius 6; the default cap of
+    # the shell holds more than 10 points at radius 6; the real cap of
     # 2000000 is reached near radius 4e5
-    monkeypatch.setattr(cli, "green_function",
-                        functools.partial(lattice.green_function, cap=10))
+    monkeypatch.setattr(lattice, "_POINT_CAP", 10)
     code, out = run_cli(capsys, *GREEN_ARGS)
     assert code == 3
     assert out == "error: more than 10 lattice points below the bound\n"
@@ -245,14 +272,14 @@ def test_verify_json_strict_with_nan_diff(capsys, monkeypatch, name, route):
 
 
 def test_verify_registry_contract():
-    # perfbench wraps these entries by name and calls each as prec -> rows
+    # perfbench wraps these entries by name and calls each with no argument
     assert list(cli._VERIFY_CHECKS) == [
         "divisor-sum-exact", "cohen-dual-route", "degree-dual-route",
         "orbit-integral-reduction", "orbit-integral-negative-convention",
         "green-integral-identity", "majorant-siegel-condition",
         "volume-spot-values", "zeta-functional-equation"]
     for check in cli._VERIFY_CHECKS.values():
-        rows = check(Precision())
+        rows = check()
         assert rows
         for row in rows:
             assert set(row) == {"label", "lhs", "rhs", "diff"}
@@ -279,3 +306,30 @@ def test_usage_error_exits_2():
         main(["green", "--z1", "not-a-number", "--z2", "1i", "--z3", "1i",
               "--m", "1", "--gamma", "0", "--v", "1"])
     assert exc.value.code == 2
+
+
+_README_GREEN = ["green", "--z1", "0.1+1.1i", "--z2", "0.2+0.15i",
+                 "--z3=-0.3+1.3i", "--v", "1", "--radius", "12"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["coeff", "--gamma", "0", "--m-from", "1", "--m-to", "300"],
+     "43008bf9e2cd57b6452295fefd7db70b0bd6255790e6e1d7d9cb5b74a606e951"),
+    (["coeff", "--gamma", "1", "--m-from", "1", "--m-to", "300"],
+     "311ee3b8a4f925ad961ab40e55c8082426561ce1ad7c3da7a19b327bbd824365"),
+    (_README_GREEN + ["--m", "1", "--gamma", "0"],
+     "e699d8f9ef016875e4d2fe065e9b29bf5d31d3dc6f6d8052fceccceceb8524f8"),
+    (_README_GREEN + ["--m=-3/4", "--gamma", "1"],
+     "648ed1f72b7f5f96d605441d0c594dc750530f832c38720a649136354624f14e"),
+    (["verify"],
+     "82a13a971ef89149c16a2d94a91b869c56d55dd05bdd9043b56aadc4dedfdd4a"),
+    (["--format", "json", "verify"],
+     "97314a2940feaffbdc1f750f25f6238b0e59563892e52c45f0c3c6960bd63b07"),
+], ids=["coeff-gamma0", "coeff-gamma1", "green-m1", "green-m-minus-3-4",
+        "verify-text", "verify-json"])
+def test_output_bytes_pinned(capsys, argv, digest):
+    # the CLI output is promised byte for byte; a change to any printed
+    # digit of these tables, Green values or verify rows moves a digest
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

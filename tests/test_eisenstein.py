@@ -11,9 +11,7 @@ from kudla_green.eisenstein import (COHEN_H_AT_ZERO, KUDLA_CONSTANT_TERM,
                                     coefficient_C_exact,
                                     coefficient_C_prefactor, coefficient_c0,
                                     coefficient_c0_prime, cohen_H, kudla_A)
-from kudla_green.specfun import FOUR_PI, J_minus, J_plus, Precision
-
-PREC = Precision()
+from kudla_green.specfun import FOUR_PI, J_minus, J_plus
 
 
 def test_module_constants():
@@ -51,7 +49,7 @@ def test_kudla_A_examples():
 def test_coefficient_C_exact_value_at_m1():
     c = split_discriminant(0, 1)
     assert coefficient_C_exact(c) == -140
-    assert coefficient_C(c, PREC) == pytest.approx(-140.0, abs=1e-9)
+    assert coefficient_C(c) == pytest.approx(-140.0, abs=1e-9)
 
 
 def test_coefficient_C_prefactor_is_exact_rational():
@@ -65,21 +63,21 @@ def test_coefficient_C_exact_only_for_trivial_character():
     assert coefficient_C_exact(split_discriminant(0, 5)) is None
     c4 = split_discriminant(0, 4)
     assert coefficient_C_exact(c4) == -20 * xi_twisted(1, 4)
-    assert coefficient_C(c4, PREC) == pytest.approx(float(coefficient_C_exact(c4)),
+    assert coefficient_C(c4) == pytest.approx(float(coefficient_C_exact(c4)),
                                                     rel=1e-12)
 
 
 def test_two_route_consistency_integral_indices():
     for m in range(1, 51):
         c = split_discriminant(0, m)
-        assert abs(coefficient_C(c, PREC)) == pytest.approx(
+        assert abs(coefficient_C(c)) == pytest.approx(
             2.0 * abs(float(kudla_A(c))), rel=1e-9), m
 
 
 def test_two_route_consistency_quarter_indices():
     for n4 in range(1, 202, 4):
         c = split_discriminant(1, Fraction(n4, 4))
-        assert abs(coefficient_C(c, PREC)) == pytest.approx(
+        assert abs(coefficient_C(c)) == pytest.approx(
             2.0 * abs(float(kudla_A(c))), rel=1e-9), n4
 
 
@@ -94,47 +92,47 @@ def test_cohen_H_functional_equation_expression():
 
 def test_c0_vanishes_for_negative_index():
     c = split_discriminant(0, -3)
-    assert coefficient_c0(c, 0.7, PREC) == 0.0
+    assert coefficient_c0(c, 0.7) == 0.0
 
 
 def test_c0_value_and_decay():
     c = split_discriminant(0, 1)
     v = 1.0 / FOUR_PI  # a = 1
-    assert coefficient_c0(c, v, PREC) == pytest.approx(-140.0 * math.exp(-0.5),
+    assert coefficient_c0(c, v) == pytest.approx(-140.0 * math.exp(-0.5),
                                                        rel=1e-9)
-    assert abs(coefficient_c0(c, 20.0, PREC)) < 1e-9
+    assert abs(coefficient_c0(c, 20.0)) < 1e-9
 
 
 def test_c0_sign_pattern():
     for m in (1, 2, 5):
         c = split_discriminant(0, m)
-        C = coefficient_C(c, PREC)
+        C = coefficient_C(c)
         for v in (0.05, 0.3, 1.0):
-            assert math.copysign(1.0, coefficient_c0(c, v, PREC)) == \
+            assert math.copysign(1.0, coefficient_c0(c, v)) == \
                 math.copysign(1.0, C)
 
 
 def test_c0_prime_positive_branch():
     c = split_discriminant(0, 1)
     v = 1.0 / FOUR_PI
-    want = -140.0 * math.exp(-0.5) * J_plus(1.5, 1.0, PREC).value
-    assert coefficient_c0_prime(c, v, 0.0, PREC) == pytest.approx(want, rel=1e-9)
+    want = -140.0 * math.exp(-0.5) * J_plus(1.5, 1.0).value
+    assert coefficient_c0_prime(c, v, 0.0) == pytest.approx(want, rel=1e-9)
     # kappa enters affinely
-    base = coefficient_c0_prime(c, v, 0.0, PREC)
-    shifted = coefficient_c0_prime(c, v, 0.25, PREC)
+    base = coefficient_c0_prime(c, v, 0.0)
+    shifted = coefficient_c0_prime(c, v, 0.25)
     assert shifted - base == pytest.approx(-140.0 * math.exp(-0.5) * 0.25, rel=1e-9)
 
 
 def test_c0_prime_negative_branch_ignores_kappa():
     c = split_discriminant(0, -1)
     v = 1.0 / FOUR_PI
-    a = coefficient_c0_prime(c, v, 0.0, PREC)
-    b = coefficient_c0_prime(c, v, 123.0, PREC)
+    a = coefficient_c0_prime(c, v, 0.0)
+    b = coefficient_c0_prime(c, v, 123.0)
     assert a == b
-    want = coefficient_C(c, PREC) * math.exp(-0.5) * J_minus(1.5, 1.0, PREC).value
+    want = coefficient_C(c) * math.exp(-0.5) * J_minus(1.5, 1.0).value
     assert a == pytest.approx(want, rel=1e-9)
 
 
 def test_c0_prime_vanishes_for_large_a():
     c = split_discriminant(0, 1)
-    assert abs(coefficient_c0_prime(c, 15.0, 0.0, PREC)) < 1e-9
+    assert abs(coefficient_c0_prime(c, 15.0, 0.0)) < 1e-9

@@ -8,16 +8,14 @@ import pytest
 from kudla_green.arith import split_discriminant
 from kudla_green.eisenstein import coefficient_C, coefficient_c0
 from kudla_green.integrals import (CASE_I_PREFACTOR, CASE_II_PREFACTOR,
-                                   TheoremReport, _frozen_normalization_at,
-                                   corollary_check,
+                                   TheoremReport, corollary_check,
                                    frozen_normalization, heegner_degree,
                                    heegner_degree_exact,
                                    heegner_degree_via_cohen, ibk_integral,
                                    kudla_integral, solve_star,
                                    theorem2_check)
-from kudla_green.specfun import EULER_GAMMA, FOUR_PI, J_plus, Precision
+from kudla_green.specfun import EULER_GAMMA, FOUR_PI, J_plus
 
-PREC = Precision()
 C1 = split_discriminant(0, 1)
 
 
@@ -34,7 +32,7 @@ def test_theorem_report_recomputes_diffs():
 
 def test_heegner_degree_m1():
     assert heegner_degree_exact(C1) == Fraction(7, 144)
-    assert heegner_degree(C1, PREC) == pytest.approx(7.0 / 144.0, rel=1e-12)
+    assert heegner_degree(C1) == pytest.approx(7.0 / 144.0, rel=1e-12)
     assert heegner_degree_via_cohen(C1) == Fraction(7, 144)
 
 
@@ -42,7 +40,7 @@ def test_heegner_degree_dual_route_grid():
     cases = [split_discriminant(0, m) for m in range(1, 16)]
     cases += [split_discriminant(1, Fraction(n, 4)) for n in range(1, 30, 4)]
     for c in cases:
-        lhs = heegner_degree(c, PREC)
+        lhs = heegner_degree(c)
         rhs = float(heegner_degree_via_cohen(c))
         assert lhs > 0
         assert lhs == pytest.approx(rhs, rel=1e-9), c
@@ -50,38 +48,36 @@ def test_heegner_degree_dual_route_grid():
 
 def test_heegner_degree_requires_positive_m():
     with pytest.raises(ValueError):
-        heegner_degree(split_discriminant(0, -1), PREC)
+        heegner_degree(split_discriminant(0, -1))
 
 
 def test_kudla_integral_m1_closed_form():
     # single layer would give J_plus/48; the content-2 layer lifts it to 7/288
     v = 1.0 / FOUR_PI
-    want = 7.0 * J_plus(1.5, 1.0, PREC).value / 288.0
-    assert kudla_integral(C1, v, PREC) == pytest.approx(want, rel=1e-9)
+    want = 7.0 * J_plus(1.5, 1.0).value / 288.0
+    assert kudla_integral(C1, v) == pytest.approx(want, rel=1e-9)
 
 
 def test_kudla_integral_positive_and_decaying():
     for m in (1, 3, -1, -2):
         c = split_discriminant(0, m)
-        lo = kudla_integral(c, 2.0 / (FOUR_PI * abs(m)), PREC)
-        hi = kudla_integral(c, 0.5 / (FOUR_PI * abs(m)), PREC)
+        lo = kudla_integral(c, 2.0 / (FOUR_PI * abs(m)))
+        hi = kudla_integral(c, 0.5 / (FOUR_PI * abs(m)))
         assert 0.0 < lo < hi
 
 
 def test_frozen_normalization_close_to_one():
-    assert frozen_normalization(PREC) == pytest.approx(1.0, abs=1e-8)
+    assert frozen_normalization() == pytest.approx(1.0, abs=1e-8)
 
 
-def test_frozen_normalization_cached_per_precision():
-    frozen_normalization()
-    before = _frozen_normalization_at.cache_info()
-    # the default and an equal Precision share one entry ...
-    assert frozen_normalization(Precision()) == frozen_normalization()
-    mid = _frozen_normalization_at.cache_info()
-    assert (mid.hits, mid.misses) == (before.hits + 2, before.misses)
-    # ... and any differing field is a different key
-    frozen_normalization(Precision(max_subdivisions=4001))
-    assert _frozen_normalization_at.cache_info().misses == before.misses + 1
+def test_frozen_normalization_second_call_is_cache_hit():
+    # the benchmark measures it once, outside its timed region, and relies
+    # on every later call being a lookup
+    first = frozen_normalization()
+    before = frozen_normalization.cache_info()
+    assert frozen_normalization() == first
+    after = frozen_normalization.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_assembled_volume_sum_matches_divisor_sum():
@@ -92,7 +88,7 @@ def test_assembled_volume_sum_matches_divisor_sum():
     from kudla_green.volumes import vol_sie
     for m in (1, 2, 4, 5, 9, 12):
         c = split_discriminant(0, m)
-        total = sum(vol_sie(cn, PREC).exact_part
+        total = sum(vol_sie(cn).exact_part
                     for _, cn in primitive_decomposition(c))
         want = Fraction(1, 6) * abs(bernoulli_L_minus1(c.D0)) \
             * c.f ** 3 * sigma_gamma_m(c)
@@ -104,7 +100,7 @@ def test_assembled_volume_sum_matches_divisor_sum():
 def test_theorem2_grid(m, a):
     c = split_discriminant(0, m)
     v = a / (FOUR_PI * abs(m))
-    rep = theorem2_check(c, v, PREC)
+    rep = theorem2_check(c, v)
     assert rep.rel_diff <= 1e-6
     assert rep.lhs > 0 and rep.rhs > 0
     assert "[sign +]" in rep.route_labels[0]
@@ -114,42 +110,42 @@ def test_theorem2_grid(m, a):
 def test_theorem2_quarter_index():
     c = split_discriminant(1, Fraction(13, 4))
     v = 1.0 / (FOUR_PI * float(c.m))
-    assert theorem2_check(c, v, PREC).rel_diff <= 1e-6
+    assert theorem2_check(c, v).rel_diff <= 1e-6
 
 
 def test_theorem2_quarter_index_negative():
     for n4, a in ((-3, 1.0), (-15, 0.5)):
         c = split_discriminant(1, Fraction(n4, 4))
         v = a / (FOUR_PI * abs(float(c.m)))
-        assert theorem2_check(c, v, PREC).rel_diff <= 1e-6
+        assert theorem2_check(c, v).rel_diff <= 1e-6
 
 
 def test_solve_star_same_constant_on_both_components():
-    s0 = solve_star(C1, 1.0 / FOUR_PI, 0.0, PREC)
-    s1 = solve_star(split_discriminant(1, Fraction(5, 4)), 0.05, 0.3, PREC)
+    s0 = solve_star(C1, 1.0 / FOUR_PI, 0.0)
+    s1 = solve_star(split_discriminant(1, Fraction(5, 4)), 0.05, 0.3)
     assert abs(s0 - s1) <= 1e-8
 
 
 def test_ibk_integral_branches():
-    assert ibk_integral(split_discriminant(0, -2), 0.7, PREC) == 0.0
+    assert ibk_integral(split_discriminant(0, -2), 0.7) == 0.0
     # bracket vanishes for kappa = -log(4 pi) - gamma
     kappa0 = -math.log(4.0 * math.pi) - EULER_GAMMA
-    assert ibk_integral(C1, kappa0, PREC) == pytest.approx(0.0, abs=1e-12)
+    assert ibk_integral(C1, kappa0) == pytest.approx(0.0, abs=1e-12)
     want = 140.0 * (math.log(4.0 * math.pi) + EULER_GAMMA) / 5760.0
-    assert ibk_integral(C1, 0.0, PREC) == pytest.approx(want, rel=1e-9)
+    assert ibk_integral(C1, 0.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_corollary_negative_index_is_exact():
     c = split_discriminant(0, -1)
     for a in (0.5, 1.0, 3.0):
         v = a / FOUR_PI
-        rep = corollary_check(c, v, kappa=0.4, star=123.0, prec=PREC)
+        rep = corollary_check(c, v, kappa=0.4, star=123.0)
         assert rep.rel_diff <= 1e-8  # star and kappa are both dead here
 
 
 def test_solve_star_v_independent():
     kappa = 0.2
-    stars = [solve_star(C1, a / FOUR_PI, kappa, PREC) for a in (0.5, 1.0, 2.0, 4.0)]
+    stars = [solve_star(C1, a / FOUR_PI, kappa) for a in (0.5, 1.0, 2.0, 4.0)]
     for s in stars[1:]:
         assert abs(s - stars[0]) <= 1e-6
     # and the solved value is the explicit constant -(log 4 pi + gamma)
@@ -161,33 +157,33 @@ def test_solve_star_kappa_shift_is_neutral():
     # kappa cancels between c0' and the counterpart integral, so the solved
     # star responds linearly with slope zero
     v = 1.0 / FOUR_PI
-    s0 = solve_star(C1, v, 0.0, PREC)
-    s1 = solve_star(C1, v, 0.5, PREC)
-    s2 = solve_star(C1, v, 1.0, PREC)
+    s0 = solve_star(C1, v, 0.0)
+    s1 = solve_star(C1, v, 0.5)
+    s2 = solve_star(C1, v, 1.0)
     assert abs(s1 - s0) <= 1e-8 and abs(s2 - s1) <= 1e-8
 
 
 def test_corollary_residual_affine_in_star():
     v = 0.7 / FOUR_PI
     kappa = 0.1
-    r0 = corollary_check(C1, v, kappa, 0.0, PREC)
-    r1 = corollary_check(C1, v, kappa, 1.0, PREC)
-    r2 = corollary_check(C1, v, kappa, 2.0, PREC)
+    r0 = corollary_check(C1, v, kappa, 0.0)
+    r1 = corollary_check(C1, v, kappa, 1.0)
+    r2 = corollary_check(C1, v, kappa, 2.0)
     slope1 = r1.rhs - r0.rhs
     slope2 = r2.rhs - r1.rhs
     assert slope1 == pytest.approx(slope2, rel=1e-10)
-    assert slope1 == pytest.approx(coefficient_c0(C1, v, PREC), rel=1e-10)
+    assert slope1 == pytest.approx(coefficient_c0(C1, v), rel=1e-10)
 
 
 def test_corollary_zero_residual_at_solved_star():
     v = 1.3 / FOUR_PI
     kappa = -0.3
-    star = solve_star(C1, v, kappa, PREC)
-    rep = corollary_check(C1, v, kappa, star, PREC)
-    scale = abs(coefficient_C(C1, PREC))
+    star = solve_star(C1, v, kappa)
+    rep = corollary_check(C1, v, kappa, star)
+    scale = abs(coefficient_C(C1))
     assert rep.abs_diff <= 1e-8 * scale
 
 
 def test_solve_star_rejects_negative_m():
     with pytest.raises(ValueError):
-        solve_star(split_discriminant(0, -1), 0.1, 0.0, PREC)
+        solve_star(split_discriminant(0, -1), 0.1, 0.0)

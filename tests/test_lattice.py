@@ -16,7 +16,7 @@ from kudla_green.lattice import (_QHAT, EnumerationCapError, LatticeVector,
                                  enumerate_bounded, green_function,
                                  majorant_value, orbit_representative,
                                  primitive_decomposition)
-from kudla_green.specfun import Precision, e1_series, exp_e1
+from kudla_green.specfun import ABS_TOL, e1_series, exp_e1
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)
@@ -155,9 +155,11 @@ def test_enumerate_symmetry_and_order():
     assert all(tuple(-c for c in u) in cset for u in cset)
 
 
-def test_enumerate_cap_guard():
-    with pytest.raises(EnumerationCapError):
-        enumerate_bounded(Z0, 40.0, cap=10)
+def test_enumerate_cap_guard(monkeypatch):
+    monkeypatch.setattr(lattice, "_POINT_CAP", 10)
+    with pytest.raises(EnumerationCapError,
+                       match="more than 10 lattice points"):
+        enumerate_bounded(Z0, 40.0)
 
 
 def test_green_function_gets_no_mismatched_index():
@@ -400,12 +402,12 @@ def _enumerate_full_tree(P, bound, slack, cap, form=_ZERO, target=0):
     return found, nodes
 
 
-def _green_ellipsoid_oracle(c, v, z, radius, prec=Precision()):
+def _green_ellipsoid_oracle(c, v, z, radius):
     """The whole-ellipsoid route: every point of the majorant ellipsoid (on
     the full tree), then the qhat = 4m and R <= radius filters, summed in
     order of u."""
     points, _ = _enumerate_full_tree(_half_gram(z), float(c.m) + radius,
-                                     prec.abs_tol, 2_000_000)
+                                     ABS_TOL, 2_000_000)
     value, n = 0.0, 0
     for u in points:
         if LatticeVector(*u).qhat != 4 * c.m:
@@ -503,16 +505,18 @@ def test_shell_roots_match_brute_force():
                     assert got == brute(a, b, c, lo, hi), (a, b, c, lo, hi)
 
 
-def test_green_cap_counts_shell_points():
+def test_green_cap_counts_shell_points(monkeypatch):
     c = split_discriminant(0, 1)
     ev = green_function(c, 1.0, Z_GENERIC, 4.0)
+    ellipsoid, _ = _enumerate_core(_half_gram(Z_GENERIC), 5.0)
+    monkeypatch.setattr(lattice, "_POINT_CAP", ev.terms_used - 1)
     with pytest.raises(EnumerationCapError):
-        green_function(c, 1.0, Z_GENERIC, 4.0, cap=ev.terms_used - 1)
-    # the cap bounds shell points, not the whole majorant ellipsoid
-    cap = 2 * ev.terms_used
-    ellipsoid, _ = _enumerate_core(_half_gram(Z_GENERIC), 5.0, 10**6)
-    assert 2 * len(ellipsoid) > cap
-    assert green_function(c, 1.0, Z_GENERIC, 4.0, cap=cap).value == ev.value
+        green_function(c, 1.0, Z_GENERIC, 4.0)
+    # the cap bounds shell points, both members of each pair counted, not
+    # the whole majorant ellipsoid
+    monkeypatch.setattr(lattice, "_POINT_CAP", ev.terms_used)
+    assert 2 * len(ellipsoid) > ev.terms_used
+    assert green_function(c, 1.0, Z_GENERIC, 4.0).value == ev.value
 
 
 def test_green_counters():
@@ -541,7 +545,7 @@ def test_half_tree_matches_full_tree():
                                    (_scan_points(1, seed=5)[0], 2, 8.0),
                                    (_scan_points(2, seed=5)[1], -1, 6.0))]
     for P, bound, form, target in cases + shells:
-        got, nodes = _enumerate_core(P, bound, 10**6, form, target)
+        got, nodes = _enumerate_core(P, bound, form, target)
         want, ref_nodes = _enumerate_full_tree(P, bound, math.inf, 10**6,
                                                form, target)
         negs = [tuple(-x for x in u) for u in got]

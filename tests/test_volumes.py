@@ -6,14 +6,11 @@ from fractions import Fraction
 import pytest
 
 from kudla_green.arith import L_chi_2_series, euler_factor, split_discriminant
-from kudla_green.specfun import Precision
 from kudla_green.volumes import (B_ANALYTIC_SIGN, V22, VOL_SO2,
                                  VOL_SO3, VOL_SO3_MOD_SO2, ZETA_MINUS1,
                                  ZETA_MINUS3, VolumeConvention, constant_B,
                                  hirzebruch_vol, humbert_V13, vol_sie,
                                  zeta_K_minus1)
-
-PREC = Precision()
 
 
 def test_constant_B():
@@ -39,7 +36,7 @@ def test_zeta_K_minus1():
 
 
 def test_humbert_V13_catalan():
-    v = humbert_V13(-4, PREC)
+    v = humbert_V13(-4)
     assert v.convention is VolumeConvention.H_PLUS
     assert v.exact_part is None
     assert v.value == pytest.approx(L_chi_2_series(-4) / 3.0, abs=1e-9)
@@ -50,7 +47,7 @@ def test_humbert_V13_two_displayed_forms():
         L2 = L_chi_2_series(dK, 1e-11)
         via_L = abs(dK) ** 1.5 * L2 / 24.0
         via_zeta_K = abs(dK) ** 1.5 * (math.pi ** 2 / 6.0) * L2 / (4.0 * math.pi ** 2)
-        assert humbert_V13(dK, PREC).value == pytest.approx(via_L, rel=1e-10)
+        assert humbert_V13(dK).value == pytest.approx(via_L, rel=1e-10)
         assert via_L == pytest.approx(via_zeta_K, rel=1e-12)
 
 
@@ -94,20 +91,20 @@ def test_V22_to_hirzebruch_conversion_constant():
 
 def test_vol_sie_positive_side():
     c1 = split_discriminant(0, 1)
-    v = vol_sie(c1, PREC)
+    v = vol_sie(c1)
     assert v.convention is VolumeConvention.SIEGEL
     assert v.value == pytest.approx(math.pi ** 2 / 12.0, rel=1e-12)
     assert v.exact_part == Fraction(1, 12)
     c5 = split_discriminant(0, 5)
     want = (5.0 ** 1.5 * L_chi_2_series(5, 1e-11) * 8.0 * 1.25) / 12.0
-    assert vol_sie(c5, PREC).value == pytest.approx(want, rel=1e-9)
+    assert vol_sie(c5).value == pytest.approx(want, rel=1e-9)
 
 
 def test_vol_sie_negative_side():
     cm = split_discriminant(0, -1)
-    v = vol_sie(cm, PREC)
+    v = vol_sie(cm)
     # f = 1 negative side agrees with the hyperbolic-3-space covolume
-    assert v.value == pytest.approx(humbert_V13(-4, PREC).value, rel=1e-12)
+    assert v.value == pytest.approx(humbert_V13(-4).value, rel=1e-12)
     assert v.exact_part is None
 
 
@@ -119,7 +116,7 @@ def test_vol_sie_space_sign_mismatch():
         c = split_discriminant(gamma, m)
         want = (abs(c.D0) ** 1.5 * L_chi_2_series(c.D0, 1e-11) * c.f ** 3
                 * float(euler_factor(c.D0, c.f)) / pref)
-        assert vol_sie(c, PREC).value == pytest.approx(want, rel=1e-9), m
+        assert vol_sie(c).value == pytest.approx(want, rel=1e-9), m
 
 
 def test_zeta_functional_equation():
@@ -132,7 +129,7 @@ def test_zeta_functional_equation():
 
 def test_exact_parts_consistent_with_values():
     cases = [hirzebruch_vol(5, 2), V22(8),
-             vol_sie(split_discriminant(0, 3), PREC)]
+             vol_sie(split_discriminant(0, 3))]
     for v in cases:
         assert v.exact_part is not None
         assert abs(v.value - float(v.exact_part) * math.pi ** v.pi_power) <= \
