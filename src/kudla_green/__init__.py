@@ -14,15 +14,15 @@ from .arith import (CaseIndex, L_chi_2, L_chi_2_series, bernoulli_L_minus1,
                     sigma_gamma_m, split_discriminant, xi_twisted)
 from .eisenstein import (coefficient_C, coefficient_c0, coefficient_c0_prime,
                          cohen_H, kudla_A)
-from .geometry import (AmbientVector, SiegelPoint, embed_u,
-                       humbert_discriminant, majorant_R, majorant_gram, psi)
+from .geometry import (SiegelPoint, embed_u, humbert_discriminant,
+                       majorant_R, majorant_gram, psi)
 from .integrals import (TheoremReport, corollary_check, frozen_normalization,
                         heegner_degree, heegner_degree_exact,
                         heegner_degree_via_cohen, ibk_integral,
                         kudla_integral, solve_star, theorem2_check)
-from .lattice import (EnumerationCapError, GreenEvaluation, LatticeVector,
-                      SingularPointError, enumerate_bounded, green_function,
-                      orbit_representative, primitive_decomposition)
+from .lattice import (EnumerationCapError, GreenEvaluation, SingularPointError,
+                      enumerate_bounded, green_function, orbit_representative,
+                      primitive_decomposition)
 from .specfun import (ABS_TOL, EULER_GAMMA, I3_minus, I3_plus, J_minus,
                       J_plus, QuadratureResult, ToleranceError, beta_s,
                       e1_series, exp_e1)

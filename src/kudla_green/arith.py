@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import ToleranceError, exp_e1
+from .specfun import ABS_TOL, ToleranceError, exp_e1
 
 __all__ = [
     "CaseIndex",
@@ -164,13 +164,11 @@ def is_fundamental_discriminant(D: int) -> bool:
     """True when D is a fundamental discriminant (D = 1 is allowed)."""
     if D == 0:
         return False
-    s, t = _squarefree_part(D)
     if D % 4 == 1:
-        return t == 1
+        return _squarefree_part(D)[1] == 1
     if D % 4 == 0:
         k = D // 4
-        sk, tk = _squarefree_part(k)
-        return tk == 1 and k % 4 in (2, 3)
+        return k % 4 in (2, 3) and _squarefree_part(k)[1] == 1
     return False
 
 
@@ -448,18 +446,16 @@ def _L_chi_2_theta(D0: int, abs_tol: float) -> float:
                 return math.fsum(terms)
 
 
-def L_chi_2(D0: int, abs_tol: float = 1e-12) -> float:
+def L_chi_2(D0: int) -> float:
     """L(2, chi_{D0}), D0 fundamental.
 
-    D0 > 0: the functional equation, from the exact B_{2,chi} (abs_tol is
-    not used).  D0 < 0: the theta functional equation `_L_chi_2_theta`,
-    whose truncation error is certified to be at most abs_tol / 2, with
-    about sqrt(|D0|) terms (the oracle `L_chi_2_series` takes |D0|).
+    D0 > 0: the functional equation, from the exact B_{2,chi}.  D0 < 0: the
+    theta functional equation `_L_chi_2_theta`, whose truncation error is
+    certified to be at most ABS_TOL / 2, with about sqrt(|D0|) terms (the
+    oracle `L_chi_2_series` takes |D0|).
     """
-    if not abs_tol > 0:
-        raise ValueError("abs_tol must be positive")
     if D0 >= 1:
         return L_chi_2_functional(D0)
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
-    return _L_chi_2_theta(D0, abs_tol)
+    return _L_chi_2_theta(D0, ABS_TOL)

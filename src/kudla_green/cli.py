@@ -11,13 +11,13 @@ Three subcommands:
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including a ``--tol`` that is NaN, not positive for ``green`` or
 negative for ``verify``), 3 domain error (point outside the half-space, v
-or radius not positive and finite, v below the smallest normal float, a
-point so far out that the majorant Gram matrix loses positive definiteness
-to rounding, or an enumeration past its point cap), 4 singular point (on a
-Heegner divisor).  Exact rationals are printed as exact strings ("p/q"),
-floats with 15 significant digits; identical invocations produce
-byte-identical output, and the JSON and CSV payloads carry the same
-numbers.
+or radius not positive and finite, v or 2 pi v radius below the smallest
+normal float, a point so far out that the majorant Gram matrix loses
+positive definiteness to rounding, or an enumeration past its point cap),
+4 singular point (on a Heegner divisor).  Exact rationals are printed as
+exact strings ("p/q"), floats with 15 significant digits; identical
+invocations produce byte-identical output, and the JSON and CSV payloads
+carry the same numbers.
 """
 
 from __future__ import annotations

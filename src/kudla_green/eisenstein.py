@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, sigma_gamma_m,
                     xi_twisted)
-from .specfun import ABS_TOL, FOUR_PI, J_minus, J_plus
+from .specfun import FOUR_PI, J_minus, J_plus
 
 __all__ = [
     "COHEN_H_AT_ZERO",
@@ -67,7 +67,7 @@ def coefficient_C_prefactor(c: CaseIndex) -> Fraction:
 
 def coefficient_C(c: CaseIndex) -> float:
     """C(gamma, m, 0) = -960 pi^{-2} |m|^{3/2} L(2, chi_{D0}) sigma_{gamma,m}(5/2)."""
-    L2 = L_chi_2(c.D0, ABS_TOL)
+    L2 = L_chi_2(c.D0)
     return (float(coefficient_C_prefactor(c)) * abs(float(c.m)) ** 1.5
             * L2 / math.pi ** 2)
 

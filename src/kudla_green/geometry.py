@@ -4,8 +4,10 @@ The ambient quadratic space is V = Q^5 with the signature (3,2) form
 
     q(x) = x3^2 - x1 x5 - x2 x4,        (x, x) = 2 q(x),
 
-whose Gram matrix (of the bilinear form) is the constant `GRAM_Q`.  Points
-z = (z1, z2, z3) of the genus-2 half-space (y1 > 0, y1 y3 - y2^2 > 0)
+whose Gram matrix (of the bilinear form) is the constant `GRAM_Q`.  A
+vector x in V is any sequence of five coordinates (ints, Fractions or
+floats): psi and R read them as floats, `humbert_discriminant` exactly.
+Points z = (z1, z2, z3) of the genus-2 half-space (y1 > 0, y1 y3 - y2^2 > 0)
 parametrize oriented negative 2-planes X_z = <Re u(z), Im u(z)> through the
 isotropic embedding
 
@@ -31,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "SiegelPoint",
-    "AmbientVector",
     "GRAM_Q",
     "GRAM_Q_INV",
     "embed_u",
@@ -92,32 +93,6 @@ class SiegelPoint:
         return self.y1 * self.y3 - self.y2 * self.y2
 
 
-@dataclass(frozen=True)
-class AmbientVector:
-    """Rational vector x in V = Q^5; coordinates stored exactly."""
-
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
-    x4: Fraction
-    x5: Fraction
-
-    @staticmethod
-    def of(x1, x2, x3, x4, x5) -> "AmbientVector":
-        return AmbientVector(*(Fraction(v) for v in (x1, x2, x3, x4, x5)))
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return (self.x1, self.x2, self.x3, self.x4, self.x5)
-
-    def q_value(self) -> Fraction:
-        """q(x) = x3^2 - x1 x5 - x2 x4 (exact)."""
-        return self.x3 * self.x3 - self.x1 * self.x5 - self.x2 * self.x4
-
-    def __neg__(self) -> "AmbientVector":
-        return AmbientVector(-self.x1, -self.x2, -self.x3, -self.x4, -self.x5)
-
-
 def embed_u(z: SiegelPoint) -> tuple[complex, complex, complex, complex, complex]:
     """The isotropic vector u(z) = (z2^2 - z1 z3, -z1, -z2, -z3, 1)."""
     return (z.z2 * z.z2 - z.z1 * z.z3, -z.z1, -z.z2, -z.z3, 1.0 + 0.0j)
@@ -148,15 +123,15 @@ def _majorant_R_at(c: tuple[complex, ...], two_eta2: float, x) -> float:
     return (p.real * p.real + p.imag * p.imag) / two_eta2
 
 
-def psi(z: SiegelPoint, x: AmbientVector) -> complex:
+def psi(z: SiegelPoint, x) -> complex:
     """psi(z, x) = sum c_i(z) x_i, linear in x; zero exactly on Z(x)."""
-    return _psi_dot(_psi_coeffs(z), [float(t) for t in x.coords])
+    return _psi_dot(_psi_coeffs(z), [float(t) for t in x])
 
 
-def majorant_R(z: SiegelPoint, x: AmbientVector) -> float:
+def majorant_R(z: SiegelPoint, x) -> float:
     """R(x, z) = |psi(z, x)|^2 / (2 eta2) >= 0, zero exactly on Z(x)."""
     return _majorant_R_at(_psi_coeffs(z), 2.0 * z.eta2,
-                          [float(t) for t in x.coords])
+                          [float(t) for t in x])
 
 
 def majorant_gram(z: SiegelPoint) -> np.ndarray:
@@ -176,6 +151,8 @@ def majorant_gram(z: SiegelPoint) -> np.ndarray:
     return P
 
 
-def humbert_discriminant(x: AmbientVector) -> Fraction:
-    """Discriminant (2 x3)^2 - 4 x1 x5 - 4 x2 x4 of the surface Z(x); equals 4 q(x)."""
-    return 4 * x.q_value()
+def humbert_discriminant(x) -> Fraction:
+    """Discriminant 4 q(x) = (2 x3)^2 - 4 x1 x5 - 4 x2 x4 of the surface Z(x),
+    in exact Fractions: the one exact statement of q."""
+    x1, x2, x3, x4, x5 = map(Fraction, x)
+    return (2 * x3) ** 2 - 4 * x1 * x5 - 4 * x2 * x4

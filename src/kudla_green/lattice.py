@@ -18,6 +18,9 @@ a = 4 pi m v, and no factors of 2 float around: the Green function is
 
     Xi(gamma, m, v, z) = sum_{u in L(gamma, m)} beta_1(2 pi v R(x(u), z)).
 
+A lattice vector u is a plain tuple of five ints.  qhat is not restated:
+x(u) = D u with D = diag(1, 1, 1/2, 1, 1), so its matrix is 2 D GRAM_Q D.
+
 Enumeration under a majorant bound runs LLL basis reduction followed by one
 Fincke-Pohst search for the u inside the ellipsoid with u^T Q u = target,
 which solves that integer quadratic for the innermost reduced coordinate
@@ -44,11 +47,11 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import CaseIndex, divisors, split_discriminant
-from .geometry import SiegelPoint, _majorant_R_at, _psi_coeffs, majorant_gram
+from .geometry import (GRAM_Q, SiegelPoint, _majorant_R_at, _psi_coeffs,
+                       majorant_gram)
 from .specfun import exp_e1
 
 __all__ = [
-    "LatticeVector",
     "GreenEvaluation",
     "SingularPointError",
     "EnumerationCapError",
@@ -76,12 +79,8 @@ def _x_of(u) -> tuple:
 # (1/2) u^T (D P_z D) u
 _HALF_U3 = np.diag(_x_of((1.0,) * 5))
 
-# qhat(u) = u^T _QHAT u = u3^2 - 4 u2 u4 - 4 u1 u5
-_QHAT = np.array([[0, 0, 0, 0, -2],
-                  [0, 0, 0, -2, 0],
-                  [0, 0, 1, 0, 0],
-                  [0, -2, 0, 0, 0],
-                  [-2, 0, 0, 0, 0]])
+# qhat(u) = u^T _QHAT u = 4 q(x(u)); 2 D GRAM_Q D has integer entries
+_QHAT = (2 * _HALF_U3 @ GRAM_Q @ _HALF_U3).astype(np.int64)
 _ZERO_FORM = np.zeros((5, 5), dtype=np.int64)
 
 
@@ -91,32 +90,6 @@ class SingularPointError(ValueError):
 
 class EnumerationCapError(RuntimeError):
     """Enumeration aborted: point count exceeded the point cap."""
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    """Integer 5-vector u; qhat and primitivity are derived, never stored."""
-
-    u1: int
-    u2: int
-    u3: int
-    u4: int
-    u5: int
-
-    @property
-    def coords(self) -> tuple[int, int, int, int, int]:
-        return (self.u1, self.u2, self.u3, self.u4, self.u5)
-
-    @property
-    def qhat(self) -> int:
-        return self.u3 * self.u3 - 4 * self.u2 * self.u4 - 4 * self.u1 * self.u5
-
-    @property
-    def primitive(self) -> bool:
-        return math.gcd(*self.coords) == 1
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(-self.u1, -self.u2, -self.u3, -self.u4, -self.u5)
 
 
 @dataclass(frozen=True)
@@ -142,18 +115,19 @@ class GreenEvaluation:
             raise ValueError("tail_bound must be nonnegative")
 
 
-def orbit_representative(c: CaseIndex) -> LatticeVector:
+def orbit_representative(c: CaseIndex) -> tuple[int, ...]:
     """Standard representative of the primitive orbit for (gamma, m).
 
     gamma = 0:  (1, 0, 0, 0, -m);  gamma = 1 with m = M + 1/4:
     (0, 1, 1, -M, 0).  Both have qhat = 4m and are primitive.
     """
     if c.gamma == 0:
-        rep = LatticeVector(1, 0, 0, 0, -int(c.m))
+        rep = (1, 0, 0, 0, -int(c.m))
     else:
         M = int(c.m - Fraction(1, 4))
-        rep = LatticeVector(0, 1, 1, -M, 0)
-    assert rep.qhat == 4 * c.m and rep.primitive
+        rep = (0, 1, 1, -M, 0)
+    u = np.array(rep, dtype=object)  # exact Python-int products
+    assert u @ _QHAT.astype(object) @ u == 4 * c.m and math.gcd(*rep) == 1
     return rep
 
 
@@ -338,7 +312,7 @@ def _neg(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([-x for x in u])
 
 
-def enumerate_bounded(z: SiegelPoint, bound: float) -> list[LatticeVector]:
+def enumerate_bounded(z: SiegelPoint, bound: float) -> list[tuple[int, ...]]:
     """Nonzero integer vectors u with (1/2) u^T P_z u <= bound.
 
     P_z is the majorant Gram matrix at z, so the quantity bounded is
@@ -355,7 +329,7 @@ def enumerate_bounded(z: SiegelPoint, bound: float) -> list[LatticeVector]:
     pairs, _ = _enumerate_core(P, bound)
     found = [w for u in pairs if majorant_value(P, u) <= bound
              for w in (u, _neg(u))]
-    return [LatticeVector(*u) for u in sorted(found)]
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +352,10 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint,
     SingularPointError, naming the lexicographically first such u.
     tail_bound reports the crude shell estimate
     c(z) * radius^{3/2} * e^{-t}/t at t = 2 pi v radius, with c(z)
-    calibrated from the enumerated count; it is reported, never added.
-    v and radius must be positive and finite, and v at least the smallest
-    normal float, so that 2 pi v R stays positive for R >= 1e-14
+    calibrated from the enumerated count; it is reported, never added, and
+    overflows to inf for tiny t and many terms.  v and radius must be
+    positive and finite, and v and t at least the smallest normal float, so
+    that 2 pi v R stays positive for R >= 1e-14 and e^{-t}/t finite
     (ValueError).
     """
     if not (v > 0 and math.isfinite(v)):
@@ -390,13 +365,16 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint,
                          "the smallest normal float")
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
+    t_cut = 2.0 * math.pi * v * radius
+    if t_cut < sys.float_info.min:
+        raise ValueError("2 pi v radius must be at least "
+                         f"{sys.float_info.min!r}, the smallest normal float")
     fourm = int(4 * c.m)
     P = majorant_gram(z)
     psi_c, two_eta2 = _psi_coeffs(z), 2.0 * z.eta2
     P_half = _HALF_U3 @ P @ _HALF_U3
     P_half = 0.5 * (P_half + P_half.T)
     bound = float(c.m) + radius
-    t_cut = 2.0 * math.pi * v * radius
     beta1_cut = math.exp(-t_cut) / t_cut if t_cut < 700 else 0.0
     if bound <= 0:
         return GreenEvaluation(value=0.0, terms_used=0,

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, euler_factor,
                     is_fundamental_discriminant)
-from .specfun import ABS_TOL
 
 __all__ = [
     "VolumeConvention",
@@ -92,7 +91,7 @@ def humbert_V13(dK: int) -> VolumeValue:
     modular group on hyperbolic 3-space (dK < 0 fundamental)."""
     if dK >= 0 or not is_fundamental_discriminant(dK):
         raise ValueError(f"dK = {dK} is not an imaginary quadratic discriminant")
-    L2 = L_chi_2(dK, ABS_TOL)
+    L2 = L_chi_2(dK)
     return VolumeValue(value=abs(dK) ** 1.5 * L2 / 24.0, exact_part=None,
                        convention=VolumeConvention.H_PLUS)
 
@@ -132,7 +131,7 @@ def vol_sie(c: CaseIndex) -> VolumeValue:
         exact = pref * (-2) * bernoulli_L_minus1(c.D0) * c.f ** 3 * euler
         return VolumeValue(value=float(exact) * math.pi ** 2, exact_part=exact,
                            convention=VolumeConvention.SIEGEL, pi_power=2)
-    L2 = L_chi_2(c.D0, ABS_TOL)
+    L2 = L_chi_2(c.D0)
     value = float(pref) * abs(c.D0) ** 1.5 * L2 * c.f ** 3 * float(euler)
     return VolumeValue(value=value, exact_part=None,
                        convention=VolumeConvention.SIEGEL)

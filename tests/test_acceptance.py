@@ -12,8 +12,7 @@ import numpy as np
 
 from kudla_green import checks
 from kudla_green.arith import is_fundamental_discriminant, split_discriminant
-from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
-                                  majorant_gram)
+from kudla_green.geometry import SiegelPoint, majorant_R, majorant_gram
 from kudla_green.integrals import frozen_normalization
 from kudla_green.lattice import (enumerate_bounded, majorant_value,
                                  orbit_representative)
@@ -99,8 +98,8 @@ def test_criterion_6_majorant_suite():
         points.append(z)
         xi = rng.randint(-6, 7, size=5)
         if xi.any():
-            x = AmbientVector.of(*(int(t) for t in xi))
-            xx = 2.0 * float(x.q_value())
+            x1, x2, x3, x4, x5 = x = tuple(int(t) for t in xi)
+            xx = 2.0 * float(x3 * x3 - x1 * x5 - x2 * x4)
             majorant_ok &= xx + 2.0 * majorant_R(z, x) >= abs(xx) - 1e-9
     worst_siegel = checks.siegel_condition(points)[0]["diff"]
     _report(6, f"majorant suite, worst Siegel residual {worst_siegel:.1e}",
@@ -121,7 +120,7 @@ def test_criterion_7_enumeration_oracle():
                         complex(rng.uniform(-1, 1), y3))
         bound = float(rng.uniform(0.8, 2.5))
         P = majorant_gram(z)
-        got = sorted(p.coords for p in enumerate_bounded(z, bound))
+        got = enumerate_bounded(z, bound)
         want = _box_scan_numpy(P, bound)
         assert got == want, f"mismatch at sample {i}"
         total_points += len(got)
@@ -152,7 +151,8 @@ def test_criterion_8_log_singularity():
     """beta_1 term + log(2 pi v R) is Cauchy along R = 10^{-k}, k = 2..8."""
     t0 = time.time()
     c = split_discriminant(0, 1)
-    x0 = orbit_representative(c)
+    u1, u2, u3, u4, u5 = orbit_representative(c)
+    x0 = (u1, u2, Fraction(u3, 2), u4, u5)  # x(u), exactly
     v = 1e-3
     values = []
     for k in range(2, 9):
@@ -161,8 +161,7 @@ def test_criterion_8_log_singularity():
         for _ in range(60):
             delta = math.sqrt(2.0 * r_target * (1.0 + delta))
         z = SiegelPoint(complex(0.0, 1.0 + delta), 0j, 1j)
-        R = majorant_R(z, AmbientVector.of(x0.u1, x0.u2, Fraction(x0.u3, 2),
-                                           x0.u4, x0.u5))
+        R = majorant_R(z, x0)
         assert abs(R - r_target) / r_target < 1e-9
         t_arg = 2.0 * math.pi * v * R
         values.append(exp_e1(t_arg) + math.log(t_arg))

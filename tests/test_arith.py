@@ -16,7 +16,7 @@ from kudla_green.arith import (CaseIndex, L_chi_2, L_chi_2_functional,
                                is_fundamental_discriminant, kronecker_chi,
                                moebius, sigma3, sigma_gamma_m,
                                split_discriminant, xi_twisted)
-from kudla_green.specfun import ToleranceError
+from kudla_green.specfun import ABS_TOL, ToleranceError
 
 FUNDAMENTAL_SMALL = [1, 5, 8, 12, 13, 17, 21, 24, 28, 29, 33,
                      -3, -4, -7, -8, -11, -15, -19, -20, -23, -24]
@@ -252,14 +252,6 @@ def test_L2_series_rejects_bad_input():
         L_chi_2_series(5, 0.0)
 
 
-def test_L2_rejects_nan_tolerance_for_odd_characters():
-    # and for even ones, whose route does not use abs_tol
-    for D0 in (-4, 1, 5):
-        for abs_tol in (math.nan, 0.0, -1.0):
-            with pytest.raises(ValueError, match="abs_tol must be positive"):
-                L_chi_2(D0, abs_tol)
-
-
 def _trigamma(x: float) -> float:
     terms, _ = arith._trigamma_terms(np.array([x]))
     return math.fsum(terms[0])
@@ -349,19 +341,25 @@ _THETA_SAMPLE = sorted(random.Random(8).sample(
 def test_L2_theta_within_tolerance_of_series(D0):
     series = L_chi_2_series(D0, 1e-13)
     for abs_tol in (1e-6, 1e-10, 1e-12, 1e-14):
-        assert abs(L_chi_2(D0, abs_tol) - series) <= abs_tol, abs_tol
+        got = arith._L_chi_2_theta(D0, abs_tol)
+        assert abs(got - series) <= abs_tol, abs_tol
+    assert abs(L_chi_2(D0) - series) <= ABS_TOL
 
 
 def test_L2_theta_catalan_to_two_ulp():
-    assert abs(L_chi_2(-4, 1e-15) - CATALAN) <= 2 * math.ulp(CATALAN)
+    got = arith._L_chi_2_theta(-4, 1e-15)
+    assert abs(got - CATALAN) <= 2 * math.ulp(CATALAN)
 
 
 def test_L2_theta_memo_is_bounded_and_exact():
     theta = arith._L_chi_2_theta
     assert theta.cache_info().maxsize is not None
     for D0, tol in ((-4, 1e-12), (-1003, 1e-10), (-40003, 1e-12)):
-        first = L_chi_2(D0, tol)
-        assert first == L_chi_2(D0, tol) == theta.__wrapped__(D0, tol)
+        first = theta(D0, tol)
+        assert first == theta(D0, tol) == theta.__wrapped__(D0, tol)
+    # L_chi_2 asks the kernel for the library's one tolerance
+    for D0 in (-4, -1003, -40003):
+        assert L_chi_2(D0) == theta.__wrapped__(D0, ABS_TOL)
 
 
 def test_oracles_never_reach_the_sublinear_routes(monkeypatch):

@@ -145,6 +145,19 @@ def test_green_subnormal_v_exit_3(capsys):
     assert int(out.splitlines()[1].split("\t")[1]) > 0
 
 
+@pytest.mark.parametrize("v,radius", [("1e-300", "1e-30"), ("1", "5e-324")])
+def test_green_tiny_tail_cut_exit_3(capsys, v, radius):
+    # 2 pi v radius below the smallest normal float: e^{-t}/t of the tail
+    # estimate would divide by zero or be infinite
+    argv = list(GREEN_ARGS)
+    argv[argv.index("--v") + 1] = v
+    argv[argv.index("--radius") + 1] = radius
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ("error: 2 pi v radius must be at least "
+                   f"{sys.float_info.min!r}, the smallest normal float\n")
+
+
 def test_green_cap_overflow_exit_3(capsys, monkeypatch):
     # the shell holds more than 10 points at radius 6; the real cap of
     # 2000000 is reached near radius 4e5

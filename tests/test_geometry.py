@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kudla_green.geometry import (GRAM_Q, GRAM_Q_INV, AmbientVector,
-                                  SiegelPoint, embed_u, humbert_discriminant,
-                                  majorant_R, majorant_gram, psi)
+from kudla_green.geometry import (GRAM_Q, GRAM_Q_INV, SiegelPoint, embed_u,
+                                  humbert_discriminant, majorant_R,
+                                  majorant_gram, psi)
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 
@@ -77,19 +77,22 @@ def test_embedded_plane_is_negative():
 
 
 def test_psi_examples():
-    assert psi(Z0, AmbientVector.of(1, 0, 0, 0, 0)) == 1.0
-    assert psi(Z0, AmbientVector.of(0, 0, 0, 0, 1)) == 1.0  # z2^2 - z1 z3 = 1
-    assert psi(Z0, AmbientVector.of(1, 0, 0, 0, -1)) == 0.0  # on the divisor
+    assert psi(Z0, (1, 0, 0, 0, 0)) == 1.0
+    assert psi(Z0, (0, 0, 0, 0, 1)) == 1.0  # z2^2 - z1 z3 = 1
+    assert psi(Z0, (1, 0, 0, 0, -1)) == 0.0  # on the divisor
+    # ints, Fractions and floats of equal value give the same bits
+    x = (Fraction(1, 2), 3, Fraction(-3, 4), -2, 5)
+    z = SiegelPoint(0.3 + 1.2j, -0.4 + 0.25j, 0.1 + 0.9j)
+    assert psi(z, x) == psi(z, [float(t) for t in x])
+    assert majorant_R(z, x) == majorant_R(z, tuple(map(float, x)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=10, max_size=10),
        st.integers(-5, 5), st.integers(-5, 5))
 def test_psi_linear_in_x(coords, alpha, beta):
-    x = AmbientVector.of(*coords[:5])
-    y = AmbientVector.of(*coords[5:])
-    combo = AmbientVector.of(*(alpha * a + beta * b
-                               for a, b in zip(x.coords, y.coords)))
+    x, y = coords[:5], coords[5:]
+    combo = [alpha * a + beta * b for a, b in zip(x, y)]
     z = SiegelPoint(0.3 + 1.2j, -0.4 + 0.25j, 0.1 + 0.9j)
     lhs = psi(z, combo)
     rhs = alpha * psi(z, x) + beta * psi(z, y)
@@ -97,10 +100,10 @@ def test_psi_linear_in_x(coords, alpha, beta):
 
 
 def test_majorant_R_examples():
-    assert majorant_R(Z0, AmbientVector.of(1, 0, 0, 0, 0)) == 0.5
-    x = AmbientVector.of(1, 0, 0, 0, -1)
+    assert majorant_R(Z0, (1, 0, 0, 0, 0)) == 0.5
+    x = (1, 0, 0, 0, -1)
     assert majorant_R(Z0, x) == 0.0  # Z0 lies on Z(x)
-    assert majorant_R(Z0, -x) == majorant_R(Z0, x)
+    assert majorant_R(Z0, tuple(-t for t in x)) == majorant_R(Z0, x)
 
 
 def test_majorant_gram_base_point():
@@ -122,11 +125,11 @@ def test_majorant_polarization_consistency():
         P = majorant_gram(z)
         for _ in range(4):
             xi = rng.randint(-5, 6, size=5)
-            x = AmbientVector.of(*(int(v) for v in xi))
+            x = tuple(int(v) for v in xi)
             quad = 0.5 * float(xi @ P @ xi)
-            want = float(x.q_value()) + majorant_R(z, x)
+            want = float(_q_complex(x)) + majorant_R(z, x)
             assert abs(quad - want) < 1e-9
-            assert quad - float(x.q_value()) >= -1e-12  # 2R >= 0
+            assert quad - float(_q_complex(x)) >= -1e-12  # 2R >= 0
 
 
 def test_majorant_property():
@@ -136,15 +139,32 @@ def test_majorant_property():
             xi = rng.randint(-4, 5, size=5)
             if not xi.any():
                 continue
-            x = AmbientVector.of(*(int(v) for v in xi))
-            q = float(x.q_value())
+            x = tuple(int(v) for v in xi)
+            q = float(_q_complex(x))
             lhs = 2.0 * q + 2.0 * majorant_R(z, x)
             assert lhs >= abs(2.0 * q) - 1e-9
 
 
 def test_humbert_discriminant():
-    assert humbert_discriminant(AmbientVector.of(1, 0, 0, 0, -1)) == 4
-    a = AmbientVector.of(1, 0, 0, 0, -7)
-    assert humbert_discriminant(a) == 28
-    x = AmbientVector.of(Fraction(1, 2), 3, Fraction(-2, 3), 1, 4)
-    assert humbert_discriminant(x) == 4 * x.q_value()
+    assert humbert_discriminant((1, 0, 0, 0, -1)) == 4
+    assert humbert_discriminant((1, 0, 0, 0, -7)) == 28
+    x = (Fraction(1, 2), 3, Fraction(-2, 3), 1, 4)
+    assert humbert_discriminant(x) == 4 * _q_complex(x)
+    # floats are read exactly: 0.1 is not 1/10
+    assert humbert_discriminant((0, 0, 0.1, 0, 0)) == 4 * Fraction(0.1) ** 2
+    # 4 q(x) = 2 x^T GRAM_Q x, summed exactly over the Gram matrix's
+    # integer entries, against the independent formula, on random integer
+    # and Fraction vectors
+    gram = [[int(GRAM_Q[i, j]) for j in range(5)] for i in range(5)]
+    assert np.array_equal(np.array(gram, dtype=float), GRAM_Q)
+    rng = np.random.RandomState(13)
+    for k in range(400):
+        nums = rng.randint(-60, 61, size=5)
+        if k % 2:
+            dens = rng.randint(1, 13, size=5)
+            x = tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+        else:
+            x = tuple(int(a) for a in nums)
+        gram_form = 2 * sum(gram[i][j] * x[i] * x[j]
+                            for i in range(5) for j in range(5))
+        assert humbert_discriminant(x) == gram_form == 4 * _q_complex(x), x

@@ -1,6 +1,7 @@
 """Lattice index sets, enumeration, and the Green function."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from kudla_green import lattice
 from kudla_green.arith import CaseIndex, split_discriminant
-from kudla_green.geometry import (AmbientVector, SiegelPoint, majorant_R,
-                                  majorant_gram)
-from kudla_green.lattice import (_QHAT, EnumerationCapError, LatticeVector,
+from kudla_green.geometry import (SiegelPoint, humbert_discriminant,
+                                  majorant_R, majorant_gram)
+from kudla_green.lattice import (_QHAT, EnumerationCapError,
                                  SingularPointError, _enumerate_core,
                                  _lll_transform, _shell_roots,
                                  enumerate_bounded, green_function,
@@ -21,6 +22,18 @@ from kudla_green.specfun import ABS_TOL, e1_series, exp_e1
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)
 _ZERO = np.zeros((5, 5), dtype=np.int64)
+
+
+def _qhat(u):
+    """Oracle: qhat(u) = u3^2 - 4 u2 u4 - 4 u1 u5, in exact integers."""
+    u1, u2, u3, u4, u5 = u
+    return u3 * u3 - 4 * u2 * u4 - 4 * u1 * u5
+
+
+def _x(u):
+    """x(u) = (u1, u2, u3/2, u4, u5), exactly."""
+    u1, u2, u3, u4, u5 = u
+    return (u1, u2, Fraction(u3, 2), u4, u5)
 
 
 def _random_points(n, seed=0):
@@ -59,11 +72,17 @@ def _box_scan(P: np.ndarray, bound: float) -> set:
 
 def test_orbit_representative_examples():
     r = orbit_representative(split_discriminant(0, 1))
-    assert r.coords == (1, 0, 0, 0, -1) and r.qhat == 4
+    assert r == (1, 0, 0, 0, -1) and _qhat(r) == 4
     r = orbit_representative(split_discriminant(1, Fraction(5, 4)))
-    assert r.coords == (0, 1, 1, -1, 0) and r.qhat == 5
+    assert r == (0, 1, 1, -1, 0) and _qhat(r) == 5
     r = orbit_representative(split_discriminant(0, -2))
-    assert r.coords == (1, 0, 0, 0, 2) and r.qhat == -8
+    assert r == (1, 0, 0, 0, 2) and _qhat(r) == -8
+    # the exact-integer assert holds beyond int64 and float precision:
+    # D0 = -(3 * 5 * ... * 59) = 1 mod 4, squarefree, below -2^69
+    D0 = -math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                     59))
+    r = orbit_representative(CaseIndex(0, Fraction(D0), D0, 2))
+    assert r == (1, 0, 0, 0, -D0) and _qhat(r) == 4 * D0
 
 
 @pytest.mark.parametrize("gamma,m", [(0, m) for m in range(-6, 7) if m]
@@ -71,16 +90,22 @@ def test_orbit_representative_examples():
 def test_orbit_representative_properties(gamma, m):
     c = split_discriminant(gamma, m)
     r = orbit_representative(c)
-    assert r.qhat == 4 * m
-    assert r.primitive
-    assert r.u3 % 2 == gamma
+    assert all(type(t) is int for t in r)
+    assert _qhat(r) == 4 * m
+    assert math.gcd(*r) == 1
+    assert r[2] % 2 == gamma
 
 
 def test_lattice_vector_derived_fields():
-    u = LatticeVector(2, 4, 6, 8, 10)
-    assert not u.primitive
-    assert u.qhat == 36 - 4 * 4 * 8 - 4 * 2 * 10
-    assert (-u).coords == (-2, -4, -6, -8, -10)
+    # qhat(u) = u^T _QHAT u, with _QHAT read off GRAM_Q, against the
+    # oracle; 4 q(x(u)) is the same number
+    form = _QHAT.astype(object)
+    assert _qhat((2, 4, 6, 8, 10)) == 36 - 4 * 4 * 8 - 4 * 2 * 10
+    rng = np.random.RandomState(17)
+    for _ in range(400):
+        u = tuple(int(t) for t in rng.randint(-10**6, 10**6 + 1, size=5))
+        w = np.array(u, dtype=object)
+        assert w @ form @ w == _qhat(u) == humbert_discriminant(_x(u)), u
 
 
 def test_primitive_decomposition_cases():
@@ -123,7 +148,7 @@ def test_enumerate_rejects_non_finite_bound(bound):
 
 def test_enumerate_base_point_contents():
     pts = enumerate_bounded(Z0, 1.0)
-    coords = {p.coords for p in pts}
+    coords = set(pts)
     assert (1, 0, 0, 0, 0) in coords and (-1, 0, 0, 0, 0) in coords
     # P_z0 = diag(1,1,2,1,1): value of e3 is exactly 1.0, on the boundary
     assert (0, 0, 1, 0, 0) in coords
@@ -134,7 +159,7 @@ def test_enumerate_matches_box_scan_random_points():
     for i, z in enumerate(_random_points(6, seed=42)):
         P = majorant_gram(z)
         for bound in (0.8, 1.7):
-            got = {p.coords for p in enumerate_bounded(z, bound)}
+            got = set(enumerate_bounded(z, bound))
             want = _box_scan(P, bound)
             assert got == want, f"mismatch at point {i}, bound {bound}"
 
@@ -142,14 +167,14 @@ def test_enumerate_matches_box_scan_random_points():
 def test_enumerate_matches_box_scan_anisotropic_point():
     # strongly skewed Gram matrix (cusp-like y), exercising the reduction
     z = SiegelPoint(0.3 + 5.0j, 0.1 + 0.2j, -0.7 + 0.31j)
-    got = {p.coords for p in enumerate_bounded(z, 2.0)}
+    got = set(enumerate_bounded(z, 2.0))
     want = _box_scan(majorant_gram(z), 2.0)
     assert got == want and len(got) > 100
 
 
 def test_enumerate_symmetry_and_order():
-    pts = enumerate_bounded(Z_GENERIC, 2.2)
-    coords = [p.coords for p in pts]
+    coords = enumerate_bounded(Z_GENERIC, 2.2)
+    assert all(type(t) is int for u in coords for t in u)
     assert coords == sorted(coords)
     cset = set(coords)
     assert all(tuple(-c for c in u) in cset for u in cset)
@@ -172,12 +197,6 @@ def test_green_function_gets_no_mismatched_index():
 # Green function
 # ---------------------------------------------------------------------------
 
-def _x(u):
-    """x(u) = (u1, u2, u3/2, u4, u5), exactly."""
-    u1, u2, u3, u4, u5 = u
-    return AmbientVector.of(u1, u2, Fraction(u3, 2), u4, u5)
-
-
 def _green_box_terms(c, z, radius):
     """Box scan for qhat = 4m: the (u, R) terms with R <= radius, sorted by u."""
     P = majorant_gram(z)
@@ -185,7 +204,7 @@ def _green_box_terms(c, z, radius):
     Ph = D @ P @ D
     terms = []
     for u in sorted(_box_scan(Ph, float(c.m) + radius)):
-        if LatticeVector(*u).qhat != 4 * c.m:
+        if _qhat(u) != 4 * c.m:
             continue
         r_val = majorant_R(z, _x(u))
         if r_val <= radius:
@@ -267,6 +286,25 @@ def test_green_input_validation():
         with pytest.raises(ValueError,
                            match="radius must be positive and finite"):
             green_function(c, 1.0, Z_GENERIC, bad)
+
+
+def test_green_tail_bound_is_never_nan():
+    # 2 pi v radius below the smallest normal float is refused, on the
+    # bound <= 0 path (m = -1, radius < 1) too; above it the estimate is
+    # finite or, for tiny t and many terms, overflows to inf
+    tiny = sys.float_info.min
+    for m in (1, -1):
+        c = split_discriminant(0, m)
+        for v in (tiny, 1e-300, 1e-10, 1.0, 40.0):
+            for radius in (5e-324, 1e-300, 1e-30, 1e-3, 0.5, 6.0):
+                if 2.0 * math.pi * v * radius < tiny:
+                    with pytest.raises(ValueError, match="2 pi v radius"):
+                        green_function(c, v, Z_GENERIC, radius)
+                    continue
+                ev = green_function(c, v, Z_GENERIC, radius)
+                assert not math.isnan(ev.tail_bound), (m, v, radius)
+    ev = green_function(split_discriminant(0, 1), tiny, Z_GENERIC, 12.0)
+    assert ev.terms_used > 1000 and ev.tail_bound == math.inf
 
 
 def test_green_value_is_sum_over_geometry_R():
@@ -410,7 +448,7 @@ def _green_ellipsoid_oracle(c, v, z, radius):
                                      ABS_TOL, 2_000_000)
     value, n = 0.0, 0
     for u in points:
-        if LatticeVector(*u).qhat != 4 * c.m:
+        if _qhat(u) != 4 * c.m:
             continue
         r_val = majorant_R(z, _x(u))
         if r_val <= radius:
@@ -421,7 +459,7 @@ def _green_ellipsoid_oracle(c, v, z, radius):
 
 def _first_reduced_column_isotropic(z):
     col = _lll_transform(_half_gram(z))[:, 0]
-    return LatticeVector(*(int(x) for x in col)).qhat == 0
+    return _qhat([int(x) for x in col]) == 0
 
 
 def _gram_schmidt(G):
