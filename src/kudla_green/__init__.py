@@ -13,7 +13,7 @@ from .arith import (CaseIndex, L_chi_2, L_chi_2_series, bernoulli_L_minus1,
                     is_fundamental_discriminant, kronecker_chi, sigma3,
                     sigma_gamma_m, split_discriminant, xi_twisted)
 from .eisenstein import (coefficient_C, coefficient_c0, coefficient_c0_prime,
-                         cohen_H, kudla_A)
+                         cohen_H)
 from .geometry import (SiegelPoint, embed_u, humbert_discriminant,
                        majorant_R, majorant_gram, psi)
 from .integrals import (TheoremReport, corollary_check, frozen_normalization,
@@ -26,7 +26,7 @@ from .lattice import (EnumerationCapError, GreenEvaluation, SingularPointError,
 from .specfun import (ABS_TOL, EULER_GAMMA, I3_minus, I3_plus, J_minus,
                       J_plus, QuadratureResult, ToleranceError, beta_s,
                       e1_series, exp_e1)
-from .volumes import (V22, VolumeConvention, VolumeValue, constant_B,
-                      hirzebruch_vol, humbert_V13, vol_sie, zeta_K_minus1)
+from .volumes import (B, V22, hirzebruch_vol, humbert_V13, vol_sie,
+                      zeta_K_minus1)
 
 __version__ = "0.1.0"

@@ -75,11 +75,6 @@ class CaseIndex:
     f: int
 
     @property
-    def delta_gamma(self) -> int:
-        """1 for gamma = 0, 4 for gamma = 1."""
-        return 1 if self.gamma == 0 else 4
-
-    @property
     def discriminant(self) -> int:
         """The integer 4m, i.e. the Humbert discriminant of the index."""
         return self.D0 * self.f * self.f

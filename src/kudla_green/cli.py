@@ -10,10 +10,11 @@ Three subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including a ``--tol`` that is NaN, not positive for ``green`` or
-negative for ``verify``), 3 domain error (point outside the half-space, v
-or radius not positive and finite, v or 2 pi v radius below the smallest
-normal float, a point so far out that the majorant Gram matrix loses
-positive definiteness to rounding, or an enumeration past its point cap),
+negative for ``verify``), 3 domain error (point outside the half-space or
+with a non-finite coordinate, v or radius not positive and finite, v or
+2 pi v radius below the smallest normal float, a point so far out that the
+majorant Gram matrix loses positive definiteness to rounding or finiteness
+to overflow, or an enumeration past its point cap),
 4 singular point (on a Heegner divisor).  Exact rationals are printed as
 exact strings ("p/q"), floats with 15 significant digits; identical
 invocations produce byte-identical output, and the JSON and CSV payloads
@@ -78,7 +79,8 @@ def _json_float(x: float) -> float | str:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        text = text.strip()
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 

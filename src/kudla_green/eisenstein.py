@@ -8,8 +8,8 @@ Two independent routes to the same arithmetic are kept side by side:
   supplied ratio kappa = C'/C;
 
 * the class-number route: the Cohen number H(2, 4m) =
-  L(-1, chi_{D0}) xi(D0, f), exactly rational, and the coefficient
-  A(m, v) = 120 H(2, 4m) of the half-normalized series.
+  L(-1, chi_{D0}) xi(D0, f), exactly rational; the coefficient of the
+  half-normalized series is A(m, v) = 120 H(2, 4m), with 120 = 1/zeta(-3).
 
 The relation |C| = 2 |A| ties the routes together and is asserted in the
 test suite, never assumed here.  The ratio kappa is a caller input
@@ -26,23 +26,13 @@ from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, sigma_gamma_m,
 from .specfun import FOUR_PI, J_minus, J_plus
 
 __all__ = [
-    "COHEN_H_AT_ZERO",
-    "ZETA_MINUS_3_INVERSE",
-    "KUDLA_CONSTANT_TERM",
     "cohen_H",
-    "kudla_A",
     "coefficient_C",
     "coefficient_C_prefactor",
     "coefficient_C_exact",
     "coefficient_c0",
     "coefficient_c0_prime",
 ]
-
-# constant term of the half-normalized two-component series, and the
-# normalizations 1/zeta(-3) = 120 and H(2, 0) = zeta(-3) = 1/120
-KUDLA_CONSTANT_TERM = 1
-ZETA_MINUS_3_INVERSE = 120
-COHEN_H_AT_ZERO = Fraction(1, 120)
 
 _C_FRONT = -(2 ** 6) * 3 * 5  # -960
 
@@ -52,11 +42,6 @@ def cohen_H(c: CaseIndex) -> Fraction:
     if c.m <= 0:
         raise ValueError("the class-number route requires m > 0")
     return bernoulli_L_minus1(c.D0) * xi_twisted(c.D0, c.f)
-
-
-def kudla_A(c: CaseIndex) -> Fraction:
-    """Coefficient A(m, v) = 120 H(2, 4m) of the half-normalized series (m > 0)."""
-    return ZETA_MINUS_3_INVERSE * cohen_H(c)
 
 
 def coefficient_C_prefactor(c: CaseIndex) -> Fraction:

@@ -26,6 +26,7 @@ condition P_z Q^{-1} P_z = Q.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,8 +64,8 @@ GRAM_Q_INV = np.array([
 class SiegelPoint:
     """Point z = (z1, z2, z3) of the genus-2 half-space.
 
-    Membership requires y1 > 0 and eta2 = y1 y3 - y2^2 > 0 (then y3 > 0
-    follows); violations raise ValueError.
+    Membership requires finite coordinates, y1 > 0 and eta2 = y1 y3 - y2^2
+    > 0 (then y3 > 0 follows); violations raise ValueError.
     """
 
     z1: complex
@@ -72,6 +73,9 @@ class SiegelPoint:
     z3: complex
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.z1, self.z2, self.z3))):
+            raise ValueError(f"point has a non-finite coordinate: "
+                             f"z=({self.z1}, {self.z2}, {self.z3})")
         if not (self.y1 > 0 and self.eta2 > 0):
             raise ValueError(
                 f"point outside the half-space: y1={self.y1}, eta2={self.eta2}")
@@ -99,11 +103,13 @@ def embed_u(z: SiegelPoint) -> tuple[complex, complex, complex, complex, complex
 
 
 def _psi_coeffs(z: SiegelPoint) -> tuple[complex, ...]:
-    """c(z) = (1, -z3, 2 z2, -z1, z2^2 - z1 z3), so psi(z, x) = sum c_i x_i.
+    """c(z) = (u5, u4, -2 u3, u2, u1) with u = u(z), so psi(z, x) = sum c_i x_i
+    = -(x, u(z)).
 
     The one statement of psi: psi, R and the majorant Gram matrix all read it.
     """
-    return (1.0 + 0.0j, -z.z3, 2.0 * z.z2, -z.z1, z.z2 * z.z2 - z.z1 * z.z3)
+    u1, u2, u3, u4, u5 = embed_u(z)
+    return (u5, u4, 2.0 * -u3, u2, u1)  # -u3 = z2 exactly, signed zeros too
 
 
 def _psi_dot(c: tuple[complex, ...], x) -> complex:
@@ -139,14 +145,15 @@ def majorant_gram(z: SiegelPoint) -> np.ndarray:
 
     Since 2 R(x, z) = |sum c_i x_i|^2 / eta2 with c = c(z) the psi
     coefficients, P_z = Q + Re(c cbar^T) / eta2.  Raises ValueError if the
-    result fails the positive-definiteness check, which rounding causes
-    when z lies far out (e.g. Re z1 or Re z2 near 1e6).
+    result is not finite or fails the positive-definiteness check, which
+    rounding causes when z lies far out (e.g. Re z1 or Re z2 near 1e6).
     """
     c = np.array(_psi_coeffs(z))
-    S = np.real(np.outer(c, np.conj(c)))
-    P = GRAM_Q + S / z.eta2
-    P = 0.5 * (P + P.T)
-    if np.min(np.linalg.eigvalsh(P)) <= 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.real(np.outer(c, np.conj(c)))
+        P = GRAM_Q + S / z.eta2
+        P = 0.5 * (P + P.T)
+    if not np.isfinite(P).all() or np.min(np.linalg.eigvalsh(P)) <= 0:
         raise ValueError("majorant Gram matrix not positive definite")
     return P
 

@@ -1,15 +1,15 @@
 """Assembly layer: Heegner degrees and the Green-function integral identities.
 
-Degrees.  deg H(gamma, m) = -(B/2) C(gamma, m, 0) with B = 1/1440 (positive
-convention), cross-checked against the exact class-number route
--(1/12) H(2, 4m); both are positive for m > 0.
+Degrees.  deg H(gamma, m) = -(B/2) C(gamma, m, 0) with the constant
+B = volumes.B = 1/1440 (positive convention), cross-checked against the
+exact class-number route -(1/12) H(2, 4m); both are positive for m > 0.
 
 Green integrals.  The integral of the truncated Green function over the
 quotient unfolds into a sum over the rescaled primitive layers of the index
 set, one stabilizer covolume times one orbit integral each.  Because the
 layer of content n carries R(n a, z) = n^2 R(a, z), every layer produces
-the same orbit integral at a = 4 pi m v while the covolume varies with
-m/n^2:
+the same orbit integral at a = 4 pi m v while the covolume, the plain
+float `volumes.vol_sie`, varies with m/n^2:
 
     I(gamma, m, v) = pref * [sum_n vol_Sie(m / n^2)] * I3_pm(v, m),
 
@@ -38,7 +38,7 @@ from .eisenstein import (cohen_H, coefficient_C, coefficient_C_exact,
                          coefficient_c0, coefficient_c0_prime)
 from .lattice import primitive_decomposition
 from .specfun import EULER_GAMMA, FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
-from .volumes import constant_B, vol_sie
+from .volumes import B, vol_sie
 
 __all__ = [
     "TheoremReport",
@@ -85,7 +85,7 @@ def heegner_degree(c: CaseIndex) -> float:
     """deg H(gamma, m) = -(B/2) C(gamma, m, 0) with B = 1/1440; positive."""
     if c.m <= 0:
         raise ValueError("degrees are defined for m > 0")
-    return -float(constant_B()) / 2.0 * coefficient_C(c)
+    return -float(B) / 2.0 * coefficient_C(c)
 
 
 def heegner_degree_exact(c: CaseIndex) -> Fraction | None:
@@ -93,7 +93,7 @@ def heegner_degree_exact(c: CaseIndex) -> Fraction | None:
     C = coefficient_C_exact(c)
     if C is None:
         return None
-    return -constant_B() / 2 * C
+    return -B / 2 * C
 
 
 def heegner_degree_via_cohen(c: CaseIndex) -> Fraction:
@@ -121,7 +121,7 @@ def kudla_integral(c: CaseIndex, v: float) -> float:
     else:
         pref = CASE_II_PREFACTOR
         orbit = I3_minus(v, float(c.m)).value
-    vols = sum(vol_sie(cn).value for _, cn in layers)
+    vols = sum(vol_sie(cn) for _, cn in layers)
     return pref * vols * orbit
 
 
@@ -135,7 +135,7 @@ def frozen_normalization() -> float:
     """
     c1 = split_discriminant(0, 1)
     v1 = 1.0 / FOUR_PI  # a = 4 pi m v = 1
-    lhs_raw = 4.0 / float(constant_B()) * kudla_integral(c1, v1)
+    lhs_raw = 4.0 / float(B) * kudla_integral(c1, v1)
     rhs = abs(coefficient_C(c1)) * J_plus(1.5, 1.0).value
     return rhs / lhs_raw
 
@@ -149,7 +149,7 @@ def theorem2_check(c: CaseIndex, v: float) -> TheoremReport:
     route labels (lhs is +, the Eisenstein side is C < 0 times a positive
     factor, consistent with the analytic sign of B).
     """
-    lhs = (4.0 / float(constant_B()) * frozen_normalization()
+    lhs = (4.0 / float(B) * frozen_normalization()
            * kudla_integral(c, v))
     a = FOUR_PI * abs(float(c.m)) * v
     C = coefficient_C(c)
@@ -176,7 +176,7 @@ def ibk_integral(c: CaseIndex, kappa: float) -> float:
     if c.m < 0:
         return 0.0
     C = coefficient_C(c)
-    return (float(constant_B()) / 4.0 * (-C)
+    return (float(B) / 4.0 * (-C)
             * (kappa + math.log(4.0 * math.pi) + EULER_GAMMA))
 
 
@@ -184,7 +184,7 @@ def _corollary_rhs(c: CaseIndex, v: float, kappa: float, star: float) -> float:
     """e^{-a/2} (4/B)(I - I_counterpart) + star * c0, with signed a and the
     analytic (negative) sign of B."""
     a = FOUR_PI * float(c.m) * v
-    four_over_B = 4.0 / float(constant_B())
+    four_over_B = 4.0 / float(B)
     val = (-four_over_B * frozen_normalization() * kudla_integral(c, v)
            - four_over_B * ibk_integral(c, kappa))
     return math.exp(-0.5 * a) * val + star * coefficient_c0(c, v)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -115,6 +116,24 @@ def test_green_non_finite_input_exit_3(capsys, name, value):
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert out == f"error: {name} must be positive and finite\n"
+
+
+@pytest.mark.parametrize("z1,message", [
+    ("nan+1.1i", "error: point has a non-finite coordinate: "
+                 "z=((nan+1.1j), (0.2+0.15j), (-0.3+1.3j))\n"),
+    ("inf+1.1i", "error: point has a non-finite coordinate: "
+                 "z=((inf+1.1j), (0.2+0.15j), (-0.3+1.3j))\n"),
+    # finite, but the majorant's entries overflow
+    ("1e308+1.1i", "error: majorant Gram matrix not positive definite\n"),
+])
+def test_green_non_finite_point_exit_3(capsys, z1, message):
+    argv = list(GREEN_ARGS)
+    argv[argv.index("--z1") + 1] = z1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == message
 
 
 def test_green_far_point_cholesky_failure_exit_3(capsys):

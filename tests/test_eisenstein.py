@@ -6,18 +6,10 @@ from fractions import Fraction
 import pytest
 
 from kudla_green.arith import L_chi_2, split_discriminant, xi_twisted
-from kudla_green.eisenstein import (COHEN_H_AT_ZERO, KUDLA_CONSTANT_TERM,
-                                    ZETA_MINUS_3_INVERSE, coefficient_C,
-                                    coefficient_C_exact,
+from kudla_green.eisenstein import (coefficient_C, coefficient_C_exact,
                                     coefficient_C_prefactor, coefficient_c0,
-                                    coefficient_c0_prime, cohen_H, kudla_A)
+                                    coefficient_c0_prime, cohen_H)
 from kudla_green.specfun import FOUR_PI, J_minus, J_plus
-
-
-def test_module_constants():
-    assert KUDLA_CONSTANT_TERM == 1
-    assert ZETA_MINUS_3_INVERSE == 120
-    assert COHEN_H_AT_ZERO == Fraction(1, 120)
 
 
 def test_cohen_H_examples():
@@ -38,12 +30,6 @@ def test_cohen_H_carries_its_index():
 def test_cohen_H_rejects_nonpositive_m():
     with pytest.raises(ValueError):
         cohen_H(split_discriminant(0, -1))
-
-
-def test_kudla_A_examples():
-    assert kudla_A(split_discriminant(0, 1)) == -70
-    # f = 1 cases are 120 L(-1, chi)
-    assert kudla_A(split_discriminant(0, 2)) == -120
 
 
 def test_coefficient_C_exact_value_at_m1():
@@ -71,14 +57,14 @@ def test_two_route_consistency_integral_indices():
     for m in range(1, 51):
         c = split_discriminant(0, m)
         assert abs(coefficient_C(c)) == pytest.approx(
-            2.0 * abs(float(kudla_A(c))), rel=1e-9), m
+            240.0 * abs(float(cohen_H(c))), rel=1e-9), m
 
 
 def test_two_route_consistency_quarter_indices():
     for n4 in range(1, 202, 4):
         c = split_discriminant(1, Fraction(n4, 4))
         assert abs(coefficient_C(c)) == pytest.approx(
-            2.0 * abs(float(kudla_A(c))), rel=1e-9), n4
+            240.0 * abs(float(cohen_H(c))), rel=1e-9), n4
 
 
 def test_cohen_H_functional_equation_expression():

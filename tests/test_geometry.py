@@ -1,5 +1,6 @@
 """Half-space geometry, the embedding, and the majorant."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -44,6 +45,12 @@ def test_siegel_point_membership():
         SiegelPoint(1j, 2j, 1j)  # eta2 = 1 - 4 < 0
     z = SiegelPoint(0.5 + 2j, 1j, 1j)
     assert z.eta2 == pytest.approx(1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for k, shift in itertools.product(range(3), (bad, complex(0, bad))):
+            coords = [0.5 + 2j, 1j, 1j]
+            coords[k] += shift
+            with pytest.raises(ValueError, match="non-finite"):
+                SiegelPoint(*coords)
 
 
 def test_embed_u_base_point():
@@ -129,6 +136,8 @@ def test_majorant_polarization_consistency():
             quad = 0.5 * float(xi @ P @ xi)
             want = float(_q_complex(x)) + majorant_R(z, x)
             assert abs(quad - want) < 1e-9
+            assert psi(z, x) == pytest.approx(-_bilinear(x, embed_u(z)),
+                                              abs=1e-12)
             assert quad - float(_q_complex(x)) >= -1e-12  # 2R >= 0
 
 

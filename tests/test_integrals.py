@@ -83,13 +83,22 @@ def test_frozen_normalization_second_call_is_cache_hit():
 def test_assembled_volume_sum_matches_divisor_sum():
     # sum over layers of the exact Siegel covolume equals
     # (1/6) |L(-1, chi)| f^3 sigma: the layer sum re-creates the divisor sum
-    from kudla_green.arith import bernoulli_L_minus1, sigma_gamma_m
+    from kudla_green.arith import (bernoulli_L_minus1, euler_factor,
+                                   sigma_gamma_m)
     from kudla_green.lattice import primitive_decomposition
     from kudla_green.volumes import vol_sie
+
+    def exact_d22(cn):
+        # vol_sie on D22 is this exact rational times pi^2
+        return (Fraction(1, 12) * (-2) * bernoulli_L_minus1(cn.D0)
+                * cn.f ** 3 * euler_factor(cn.D0, cn.f))
+
     for m in (1, 2, 4, 5, 9, 12):
         c = split_discriminant(0, m)
-        total = sum(vol_sie(cn).exact_part
-                    for _, cn in primitive_decomposition(c))
+        layers = [cn for _, cn in primitive_decomposition(c)]
+        for cn in layers:
+            assert vol_sie(cn) == float(exact_d22(cn)) * math.pi ** 2, cn
+        total = sum(exact_d22(cn) for cn in layers)
         want = Fraction(1, 6) * abs(bernoulli_L_minus1(c.D0)) \
             * c.f ** 3 * sigma_gamma_m(c)
         assert total == want, m
