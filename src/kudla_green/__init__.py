@@ -17,9 +17,9 @@ from .eisenstein import (coefficient_C, coefficient_c0, coefficient_c0_prime,
 from .geometry import (SiegelPoint, embed_u, humbert_discriminant,
                        majorant_R, majorant_gram, psi)
 from .integrals import (TheoremReport, corollary_check, frozen_normalization,
-                        heegner_degree, heegner_degree_exact,
-                        heegner_degree_via_cohen, ibk_integral,
-                        kudla_integral, solve_star, theorem2_check)
+                        heegner_degree, heegner_degree_via_cohen,
+                        ibk_integral, kudla_integral, solve_star,
+                        theorem2_check)
 from .lattice import (EnumerationCapError, GreenEvaluation, SingularPointError,
                       enumerate_bounded, green_function, orbit_representative,
                       primitive_decomposition)

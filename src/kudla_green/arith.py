@@ -47,7 +47,6 @@ __all__ = [
     "bernoulli_L_minus1",
     "L_chi_2",
     "L_chi_2_series",
-    "L_chi_2_functional",
 ]
 
 
@@ -386,13 +385,6 @@ def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
     return math.fsum(terms.ravel()) / (F * F)
 
 
-def L_chi_2_functional(D0: int) -> float:
-    """L(2, chi_{D0}) = -2 pi^2 D0^{-3/2} L(-1, chi_{D0}) for D0 >= 1."""
-    if D0 < 1:
-        raise ValueError("functional-equation route requires D0 >= 1")
-    return -2.0 * math.pi ** 2 * float(bernoulli_L_minus1(D0)) / D0 ** 1.5
-
-
 def _theta_L2_term(n: int, F: int) -> float:
     """The n-th term of `_L_chi_2_theta`, chi(n) left out.
 
@@ -444,13 +436,14 @@ def _L_chi_2_theta(D0: int, abs_tol: float) -> float:
 def L_chi_2(D0: int) -> float:
     """L(2, chi_{D0}), D0 fundamental.
 
-    D0 > 0: the functional equation, from the exact B_{2,chi}.  D0 < 0: the
-    theta functional equation `_L_chi_2_theta`, whose truncation error is
-    certified to be at most ABS_TOL / 2, with about sqrt(|D0|) terms (the
-    oracle `L_chi_2_series` takes |D0|).
+    D0 > 0: the functional equation L(2, chi) = -2 pi^2 D0^{-3/2} L(-1, chi),
+    from the exact B_{2,chi}.  D0 < 0: the theta functional equation
+    `_L_chi_2_theta`, whose truncation error is certified to be at most
+    ABS_TOL / 2, with about sqrt(|D0|) terms (the oracle `L_chi_2_series`
+    takes |D0|).
     """
     if D0 >= 1:
-        return L_chi_2_functional(D0)
+        return -2.0 * math.pi ** 2 * float(bernoulli_L_minus1(D0)) / D0 ** 1.5
     if not is_fundamental_discriminant(D0):
         raise ValueError(f"D0 = {D0} is not fundamental")
     return _L_chi_2_theta(D0, ABS_TOL)

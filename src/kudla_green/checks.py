@@ -22,8 +22,8 @@ from .arith import (CaseIndex, L_chi_2_series, sigma_gamma_m,
                     split_discriminant, xi_twisted)
 from .eisenstein import cohen_H
 from .geometry import GRAM_Q, GRAM_Q_INV, SiegelPoint, majorant_gram
-from .integrals import (heegner_degree, heegner_degree_exact,
-                        heegner_degree_via_cohen, theorem2_check)
+from .integrals import (heegner_degree, heegner_degree_via_cohen,
+                        theorem2_check)
 from .specfun import FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
 from .volumes import V22, hirzebruch_vol, humbert_V13, zeta_K_minus1
 
@@ -78,13 +78,19 @@ def cohen_dual(indices: Iterable[int]) -> list[dict]:
 
 
 def degree_dual(cases: Iterable[CaseIndex]) -> list[dict]:
-    """deg at m = 1 is 7/144 exactly; -(B/2) C against -(1/12) H(2, 4m)."""
+    """deg at m = 1 is 7/144 exactly; -(B/2) C against -(1/12) H(2, 4m).
+
+    For m > 0, -(1/12) H(2, 4m) is the exact degree (C = 240 H(2, 4m)), so
+    the second row measures the rounding of the float assembly of C, not
+    an independent route: both read the one B_{2,chi}, which among these
+    criteria only the trigamma oracle of `cohen_dual` checks independently.
+    """
     def rel(c: CaseIndex) -> tuple[float, str]:
         lhs = heegner_degree(c)
         rhs = float(heegner_degree_via_cohen(c))
         return abs(lhs - rhs) / max(abs(rhs), 1e-30), f"(gamma={c.gamma}, m={c.m})"
 
-    exact = heegner_degree_exact(split_discriminant(0, 1))
+    exact = heegner_degree_via_cohen(split_discriminant(0, 1))
     diff, at = _worst(rel(c) for c in cases)
     return [_exact_row("deg at m=1 equals 7/144 exactly", exact, Fraction(7, 144)),
             _row(f"coefficient vs class-number route, worst at {at}", diff)]

@@ -14,7 +14,7 @@ negative for ``verify``), 3 domain error (point outside the half-space or
 with a non-finite coordinate, v or radius not positive and finite, v or
 2 pi v radius below the smallest normal float, a point so far out that the
 majorant Gram matrix loses positive definiteness to rounding or finiteness
-to overflow, or an enumeration past its point cap),
+to overflow, or an enumeration past its point cap or node cap),
 4 singular point (on a Heegner divisor).  Exact rationals are printed as
 exact strings ("p/q"), floats with 15 significant digits; identical
 invocations produce byte-identical output, and the JSON and CSV payloads

@@ -1,8 +1,13 @@
 """Assembly layer: Heegner degrees and the Green-function integral identities.
 
 Degrees.  deg H(gamma, m) = -(B/2) C(gamma, m, 0) with the constant
-B = volumes.B = 1/1440 (positive convention), cross-checked against the
-exact class-number route -(1/12) H(2, 4m); both are positive for m > 0.
+B = volumes.B = 1/1440 (positive convention), positive for m > 0.  There
+C = 240 H(2, 4m) exactly (see `eisenstein`), so the degree is the exact
+-(1/12) H(2, 4m) of `heegner_degree_via_cohen`; `heegner_degree` assembles
+the same value in floats and differs from it only by rounding (at most
+4 ulp, measured over the 5,999 indices with 4m < 12,000, both gammas).
+Both read the one B_{2,chi}; the only `verify` check of B_{2,chi} that
+does not is the trigamma oracle of the cohen-dual-route criterion.
 
 Green integrals.  The integral of the truncated Green function over the
 quotient unfolds into a sum over the rescaled primitive layers of the index
@@ -34,8 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import CaseIndex, split_discriminant
-from .eisenstein import (cohen_H, coefficient_C, coefficient_C_exact,
-                         coefficient_c0, coefficient_c0_prime)
+from .eisenstein import (cohen_H, coefficient_C, coefficient_c0,
+                         coefficient_c0_prime)
 from .lattice import primitive_decomposition
 from .specfun import EULER_GAMMA, FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
 from .volumes import B, vol_sie
@@ -45,7 +50,6 @@ __all__ = [
     "CASE_I_PREFACTOR",
     "CASE_II_PREFACTOR",
     "heegner_degree",
-    "heegner_degree_exact",
     "heegner_degree_via_cohen",
     "kudla_integral",
     "frozen_normalization",
@@ -88,16 +92,8 @@ def heegner_degree(c: CaseIndex) -> float:
     return -float(B) / 2.0 * coefficient_C(c)
 
 
-def heegner_degree_exact(c: CaseIndex) -> Fraction | None:
-    """Exact degree -(B/2) C when C is exactly rational (D0 = 1), else None."""
-    C = coefficient_C_exact(c)
-    if C is None:
-        return None
-    return -B / 2 * C
-
-
 def heegner_degree_via_cohen(c: CaseIndex) -> Fraction:
-    """Independent class-number route: deg = -(1/12) H(2, 4m), exact."""
+    """The exact degree -(1/12) H(2, 4m) = -(B/2) C, for every m > 0."""
     return -Fraction(1, 12) * cohen_H(c)
 
 
@@ -112,8 +108,8 @@ def kudla_integral(c: CaseIndex, v: float) -> float:
     layer's stabilizer, times the common orbit integral I3_pm(v, m).
     Positive for every m != 0.
     """
-    if v <= 0:
-        raise ValueError("v must be positive")
+    if not (v > 0 and math.isfinite(v)):
+        raise ValueError("v must be positive and finite")
     layers = primitive_decomposition(c)
     if c.m > 0:
         pref = CASE_I_PREFACTOR

@@ -67,6 +67,9 @@ SINGULAR_R_THRESHOLD = 1e-14
 _LLL_DELTA = 0.75  # Lovasz constant of the basis reduction
 # most lattice points one enumeration may find, both members of each pair +-u
 _POINT_CAP = 2_000_000
+# most half-tree nodes one Fincke-Pohst search may visit: 39 s on a 2 vCPU
+# host, above the 12.2M that m = 1000 visits at radius 12
+_NODE_CAP = 20_000_000
 
 
 def _x_of(u) -> tuple:
@@ -89,7 +92,8 @@ class SingularPointError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Enumeration aborted: point count exceeded the point cap."""
+    """Enumeration aborted: more lattice points than the point cap, or more
+    search-tree nodes than the node cap."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,9 @@ class GreenEvaluation:
     the all-zero prefix being shared by both halves); min_R is the
     smallest R(x(u), z) among the summed terms, which is the smallest R on
     the whole shell qhat = 4m whenever that is <= radius (inf: no term).
+    tail_bound is an estimate of the truncation error, not a bound:
+    terms_used * e^{-t}/t (radius^{3/2} e^{-t}/t when no term survives) at
+    t = 2 pi v radius, with e^{-t}/t taken as 0 once t >= 700.
     """
 
     value: float
@@ -236,11 +243,12 @@ def _fincke_pohst(P: np.ndarray, limit: float, form: list[list[int]],
     IEEE arithmetic (t, the range ends, b and the roots are negated; s * s,
     rem and qtail are kept), so the full tree is this one and its mirror
     image, and the node count is that of the half tree.  _POINT_CAP bounds
-    the points of the full tree, both members of each pair counted.
+    the points of the full tree, both members of each pair counted, and
+    _NODE_CAP the nodes of the half tree.
     """
     n = P.shape[0]
     R = _cholesky(P).T.tolist()
-    cap = _POINT_CAP
+    cap, node_cap = _POINT_CAP, _NODE_CAP
     slack = limit * 1e-9 + 1e-9
     budget = limit + slack
     out: list[tuple[int, ...]] = []
@@ -253,6 +261,9 @@ def _fincke_pohst(P: np.ndarray, limit: float, form: list[list[int]],
         # zero_above: those w_j are all 0
         nonlocal nodes
         nodes += 1
+        if nodes > node_cap:
+            raise EnumerationCapError(
+                f"more than {node_cap} search-tree nodes in the enumeration")
         t = 0.0
         for j in range(i + 1, n):
             t += R[i][j] * w[j]
@@ -344,19 +355,20 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint,
     enumeration walks the majorant ellipsoid q(x(u)) + R = m + R <= m + radius
     and solves qhat(u) = 4m for the innermost reduced coordinate, so it
     yields the shell points only, one u of each pair +-u; _POINT_CAP bounds
-    their number, both members counted (EnumerationCapError beyond it).
+    their number, both members counted, and _NODE_CAP the search-tree
+    nodes (EnumerationCapError beyond either).
     Each pair pays one R at x(u): R <= radius alone keeps it, with one E1
     value for u and -u.  Terms are added in lexicographic order of u
     (deterministic); nodes_visited counts the half tree.  A shell point
     with R below SINGULAR_R_THRESHOLD means z lies on the divisor Z(u):
     SingularPointError, naming the lexicographically first such u.
-    tail_bound reports the crude shell estimate
-    c(z) * radius^{3/2} * e^{-t}/t at t = 2 pi v radius, with c(z)
-    calibrated from the enumerated count; it is reported, never added, and
-    overflows to inf for tiny t and many terms.  v and radius must be
-    positive and finite, and v and t at least the smallest normal float, so
-    that 2 pi v R stays positive for R >= 1e-14 and e^{-t}/t finite
-    (ValueError).
+    tail_bound is an estimate of the truncation error, not a bound:
+    terms_used * e^{-t}/t (radius^{3/2} e^{-t}/t when no term survives) at
+    t = 2 pi v radius, with e^{-t}/t taken as 0 once t >= 700; it is
+    reported, never added, and overflows to inf for tiny t and many terms.
+    v and radius must be positive and finite, and v and t at least the
+    smallest normal float, so that 2 pi v R stays positive for R >= 1e-14
+    and e^{-t}/t finite (ValueError).
     """
     if not (v > 0 and math.isfinite(v)):
         raise ValueError("v must be positive and finite")

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kudla_green import arith
-from kudla_green.arith import (CaseIndex, L_chi_2, L_chi_2_functional,
-                               L_chi_2_series, bernoulli_B2_chi,
-                               bernoulli_L_minus1, divisors,
-                               is_fundamental_discriminant, kronecker_chi,
-                               moebius, sigma3, sigma_gamma_m,
+from kudla_green.arith import (CaseIndex, L_chi_2, L_chi_2_series,
+                               bernoulli_B2_chi, bernoulli_L_minus1,
+                               divisors, is_fundamental_discriminant,
+                               kronecker_chi, moebius, sigma3, sigma_gamma_m,
                                split_discriminant, xi_twisted)
 from kudla_green.specfun import ABS_TOL, ToleranceError
 
@@ -226,7 +225,7 @@ def test_L_minus1_denominators_divide_60():
 
 def test_L2_functional_equals_series():
     for D0 in (1, 5, 8, 12, 13, 17, 21, 24):
-        fe = L_chi_2_functional(D0)
+        fe = L_chi_2(D0)  # D0 > 0: the functional equation
         series = L_chi_2_series(D0, 1e-11)
         assert abs(fe - series) <= 1e-9, D0
 
@@ -365,8 +364,7 @@ def test_oracles_never_reach_the_sublinear_routes(monkeypatch):
         raise AssertionError("oracle reached a sublinear route")
 
     for name in ("_sigma1", "_r4", "_cohen_H2_times_120", "_theta_L2_term",
-                 "_L_chi_2_theta", "bernoulli_B2_chi", "L_chi_2",
-                 "L_chi_2_functional", "exp_e1"):
+                 "_L_chi_2_theta", "bernoulli_B2_chi", "L_chi_2", "exp_e1"):
         monkeypatch.setattr(arith, name, refuse)
     assert _b2_chi_character_sum(5) == Fraction(4, 5)
     for D0, want in L2_CLOSED_FORMS.items():

@@ -186,6 +186,16 @@ def test_green_cap_overflow_exit_3(capsys, monkeypatch):
     assert out == "error: more than 10 lattice points below the bound\n"
 
 
+def test_green_node_cap_overflow_exit_3(capsys, monkeypatch):
+    # the walk at radius 6 visits 692 half-tree nodes; the real cap of
+    # 20000000 stops m = 1000000, which would otherwise never end
+    monkeypatch.setattr(lattice, "_NODE_CAP", 100)
+    code, out = run_cli(capsys, *GREEN_ARGS)
+    assert code == 3
+    assert out == ("error: more than 100 search-tree nodes in the "
+                   "enumeration\n")
+
+
 def test_green_singular_point_exit_4(capsys):
     code, out = run_cli(capsys, "green", "--z1", "1i", "--z2", "0i",
                         "--z3", "1i", "--m", "1", "--gamma", "0", "--v", "1")

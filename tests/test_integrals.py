@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from kudla_green.arith import split_discriminant
-from kudla_green.eisenstein import coefficient_C, coefficient_c0
+from kudla_green.eisenstein import (coefficient_C, coefficient_c0,
+                                    coefficient_c0_prime)
 from kudla_green.integrals import (CASE_I_PREFACTOR, CASE_II_PREFACTOR,
                                    TheoremReport, corollary_check,
                                    frozen_normalization, heegner_degree,
-                                   heegner_degree_exact,
                                    heegner_degree_via_cohen, ibk_integral,
                                    kudla_integral, solve_star,
                                    theorem2_check)
@@ -31,24 +31,38 @@ def test_theorem_report_recomputes_diffs():
 
 
 def test_heegner_degree_m1():
-    assert heegner_degree_exact(C1) == Fraction(7, 144)
     assert heegner_degree(C1) == pytest.approx(7.0 / 144.0, rel=1e-12)
     assert heegner_degree_via_cohen(C1) == Fraction(7, 144)
 
 
 def test_heegner_degree_dual_route_grid():
-    cases = [split_discriminant(0, m) for m in range(1, 16)]
-    cases += [split_discriminant(1, Fraction(n, 4)) for n in range(1, 30, 4)]
+    # -(1/12) H(2, 4m) is the exact degree; the float route rounds it
+    cases = [split_discriminant(0, m) for m in range(1, 301)]
+    cases += [split_discriminant(1, Fraction(n, 4)) for n in range(1, 1200, 4)]
     for c in cases:
         lhs = heegner_degree(c)
         rhs = float(heegner_degree_via_cohen(c))
         assert lhs > 0
-        assert lhs == pytest.approx(rhs, rel=1e-9), c
+        assert abs(lhs - rhs) <= 4 * math.ulp(rhs), c
 
 
 def test_heegner_degree_requires_positive_m():
     with pytest.raises(ValueError):
         heegner_degree(split_discriminant(0, -1))
+
+
+@pytest.mark.parametrize("v", [0.0, -1.0, math.nan, math.inf])
+def test_v_must_be_positive_and_finite(v):
+    # one check and one message on every path that takes v, both signs of m
+    for c in (C1, split_discriminant(0, -1)):
+        for call in (lambda: coefficient_c0(c, v),
+                     lambda: coefficient_c0_prime(c, v, 0.0),
+                     lambda: kudla_integral(c, v),
+                     lambda: theorem2_check(c, v),
+                     lambda: corollary_check(c, v, 0.0, 0.0)):
+            with pytest.raises(ValueError,
+                               match="^v must be positive and finite$"):
+                call()
 
 
 def test_kudla_integral_m1_closed_form():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -60,3 +61,12 @@ def test_every_exported_constant_is_read():
                   f"kudla_green.{name}"), "__all__", ())
               if attr.isupper() and attr not in read]
     assert not unread, f"exported but never read: {unread}"
+
+
+def test_readme_library_example_runs():
+    # a name the example imports or calls that the library no longer has
+    # fails here rather than in a reader's session
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
