@@ -10,7 +10,8 @@ Three subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including a ``--tol`` that is NaN, not positive for ``green`` or
-negative for ``verify``), 3 domain error (point outside the half-space or
+negative for ``verify``, and an ``--output`` path that cannot be written,
+reported on stderr), 3 domain error (point outside the half-space or
 with a non-finite coordinate, v or radius not positive and finite, v or
 2 pi v radius below the smallest normal float, a point so far out that the
 majorant Gram matrix loses positive definiteness to rounding or finiteness
@@ -28,11 +29,10 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import checks
 from .arith import CaseIndex, split_discriminant
@@ -199,12 +199,18 @@ def cmd_green(cfg: RunConfig) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def _siegel_samples() -> list[SiegelPoint]:
-    rng = np.random.RandomState(7)
+    # the MT19937 stream of numpy's RandomState(7) (init_genrand seeding),
+    # without importing numpy.random
+    mt = [7]
+    for i in range(1, 624):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xffffffff)
+    rng = random.Random()
+    rng.setstate((3, (*mt, 624), None))
     points = []
     for _ in range(20):
-        y1, y3 = rng.uniform(0.5, 2.0, size=2)
+        y1, y3 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
         y2 = rng.uniform(-0.9, 0.9) * math.sqrt(y1 * y3)
-        x1, x2, x3 = rng.uniform(-2.0, 2.0, size=3)
+        x1, x2, x3 = (rng.uniform(-2.0, 2.0) for _ in range(3))
         points.append(SiegelPoint(complex(x1, y1), complex(x2, y2), complex(x3, y3)))
     return points
 
@@ -314,7 +320,12 @@ def main(argv: list[str] | None = None) -> int:
         code, text = cmd_green(cfg)
     else:
         code, text = cmd_verify(cfg)
-    _emit(text, cfg)
+    try:
+        _emit(text, cfg)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {cfg.output_path}: "
+                         f"{exc.strerror or exc}\n")
+        return EXIT_USAGE
     return code
 
 

@@ -32,7 +32,8 @@ yields one u of each pair +-u.  Each caller decides a pair by one test,
 once: `enumerate_bounded` by `majorant_value <= bound`, the Green function
 by R(x(u), z) <= radius, which alone keeps a term and pays its one E1
 value.  Negation is exact, so -u passes, fails and evaluates as u does, bit
-for bit; each caller then adds -u and sorts by u, so every sum keeps its
+for bit; `enumerate_bounded` then adds -u and sorts by u, and the Green
+function sums its terms in that same order of u, so every sum keeps its
 order and its bits, and a brute-force box scan applying the same test (and,
 for the Green function, qhat = 4m) reproduces the output exactly.
 """
@@ -67,7 +68,7 @@ SINGULAR_R_THRESHOLD = 1e-14
 _LLL_DELTA = 0.75  # Lovasz constant of the basis reduction
 # most lattice points one enumeration may find, both members of each pair +-u
 _POINT_CAP = 2_000_000
-# most half-tree nodes one Fincke-Pohst search may visit: 39 s on a 2 vCPU
+# most half-tree nodes one Fincke-Pohst search may visit: 21 s on a 2 vCPU
 # host, above the 12.2M that m = 1000 visits at radius 12
 _NODE_CAP = 20_000_000
 
@@ -85,6 +86,7 @@ _HALF_U3 = np.diag(_x_of((1.0,) * 5))
 # qhat(u) = u^T _QHAT u = 4 q(x(u)); 2 D GRAM_Q D has integer entries
 _QHAT = (2 * _HALF_U3 @ GRAM_Q @ _HALF_U3).astype(np.int64)
 _ZERO_FORM = np.zeros((5, 5), dtype=np.int64)
+_ORIGIN = (0,) * 5
 
 
 class SingularPointError(ValueError):
@@ -164,7 +166,9 @@ def _lll_transform(P: np.ndarray) -> np.ndarray:
     """Unimodular T with T^T P T LLL-reduced (P symmetric positive definite).
 
     The Gram-Schmidt data of the basis T come from the Cholesky factor L of
-    T^T P T: mu_ij = L_ij / L_jj and |b*_i|^2 = L_ii^2.
+    T^T P T: mu_ij = L_ij / L_jj and |b*_i|^2 = L_ii^2.  They are recomputed
+    after a swap only: a size reduction b_k -= q b_j (j < k) keeps every
+    b*_i, so it changes row k of mu alone, by mu_k. -= q mu_j., in place.
     """
     n = P.shape[0]
     T = np.eye(n, dtype=np.int64)
@@ -183,7 +187,7 @@ def _lll_transform(P: np.ndarray) -> np.ndarray:
             q = round(mu[k, j])
             if q:
                 T[:, k] -= q * T[:, j]
-                mu, norms = gso()
+                mu[k, :j + 1] -= q * mu[j, :j + 1]
         if norms[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
@@ -221,7 +225,7 @@ def _shell_roots(a: int, b: int, c: int, lo: int, hi: int):
 
 def _fincke_pohst(P: np.ndarray, limit: float, form: list[list[int]],
                   target: int) -> tuple[list[tuple[int, ...]], int]:
-    """One w of each pair +-w of nonzero integer vectors with
+    """One w of each pair +-w of nonzero integer 5-vectors with
     w^T P w <= limit (P positive definite) and w^T Q w = target for the
     integer symmetric `form` Q (nested lists), and the number of search-tree
     nodes visited.
@@ -235,6 +239,10 @@ def _fincke_pohst(P: np.ndarray, limit: float, form: list[list[int]],
     range but solved for exactly (`_shell_roots`); each root passes the
     same range and slack tests as a scanned w_0.  The zero form with
     target 0 makes every w_0 in range a root: the whole ellipsoid.
+    Levels 4 to 1 recurse; each level-0 node is solved inline in the loop
+    of its level-1 parent, with the level-0 row unrolled, in the same
+    order, with the same sums and the same tests as at any other level
+    (`span` counts every node and computes every range).
 
     The search walks the half tree: while w_{i+1}, ..., w_{n-1} are all
     zero, w_i is restricted to w_i >= 0 (w_0 >= 1), so the yielded w is the
@@ -254,43 +262,60 @@ def _fincke_pohst(P: np.ndarray, limit: float, form: list[list[int]],
     out: list[tuple[int, ...]] = []
     w = [0] * n
     nodes = 0
+    (r00, r01, r02, r03, r04), (q00, q01, q02, q03, q04) = R[0], form[0]
 
-    def descend(i: int, remaining: float, qtail: int,
-                zero_above: bool) -> None:
-        # qtail = w^T Q w restricted to w_{i+1}, ..., w_{n-1};
-        # zero_above: those w_j are all 0
+    def span(i: int, t: float, remaining: float,
+             zero_above: bool) -> tuple[int, int]:
+        # count the node at level i; the range of w_i about the centre -t
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
             raise EnumerationCapError(
                 f"more than {node_cap} search-tree nodes in the enumeration")
-        t = 0.0
-        for j in range(i + 1, n):
-            t += R[i][j] * w[j]
-        rad = math.sqrt(max(remaining, 0.0))
+        rad = math.sqrt(remaining) if remaining > 0.0 else 0.0
         rii = R[i][i]
         lo = math.ceil((-rad - t) / rii - 1e-12)
         hi = math.floor((rad - t) / rii + 1e-12)
         if zero_above:
             lo = max(lo, 1 if i == 0 else 0)
-        row = form[i]
+        return lo, hi
+
+    def descend(i: int, remaining: float, qtail: int,
+                zero_above: bool) -> None:
+        # a node at level i >= 1; qtail = w^T Q w restricted to
+        # w_{i+1}, ..., w_{n-1}; zero_above: those w_j are all 0
+        t = 0.0
+        for j in range(i + 1, n):
+            t += R[i][j] * w[j]
+        lo, hi = span(i, t, remaining, zero_above)
+        rii, row = R[i][i], form[i]
         b = 0
         for j in range(i + 1, n):
             b += row[j] * w[j]
         b *= 2
-        wis = (_shell_roots(row[0], b, qtail - target, lo, hi) if i == 0
-               else range(lo, hi + 1))
-        for wi in wis:
+        _, _, w2, w3, w4 = w  # fixed below a level-1 node (i = 1)
+        b0_tail = q02 * w2 + q03 * w3 + q04 * w4
+        for wi in range(lo, hi + 1):
             s = rii * wi + t
             rem = remaining - s * s
             if rem < -slack:
                 continue
             w[i] = wi
-            if i > 0:
-                descend(i - 1, rem, qtail + wi * (row[i] * wi + b),
-                        zero_above and wi == 0)
-            else:
-                out.append(tuple(w))
+            qnext = qtail + wi * (row[i] * wi + b)
+            if i > 1:
+                descend(i - 1, rem, qnext, zero_above and wi == 0)
+                continue
+            # the level-0 node below w_1 = wi, solved in this frame; t0 is
+            # the generic sum less its leading 0.0 +, which can flip only the
+            # sign of a zero t0, and so moves no range end and no s0 * s0
+            t0 = r01 * wi + r02 * w2 + r03 * w3 + r04 * w4
+            lo0, hi0 = span(0, t0, rem, zero_above and wi == 0)
+            b0 = 2 * (q01 * wi + b0_tail)
+            for w0 in _shell_roots(q00, b0, qnext - target, lo0, hi0):
+                s0 = r00 * w0 + t0
+                if rem - s0 * s0 < -slack:
+                    continue
+                out.append((w0, wi, w2, w3, w4))
                 if 2 * len(out) > cap:
                     raise EnumerationCapError(
                         f"more than {cap} lattice points below the bound")
@@ -400,21 +425,25 @@ def green_function(c: CaseIndex, v: float, z: SiegelPoint,
         if r_val < SINGULAR_R_THRESHOLD:
             singular.append((min(u, _neg(u)), r_val))
         elif r_val <= radius:
-            kept.append((u, r_val))
+            kept.append((u if u > _ORIGIN else _neg(u), r_val))
     if singular:
         u, r_val = min(singular)
         raise SingularPointError(
             f"z lies on the divisor of u = {u} (R = {r_val:.3e})")
-    terms = []
-    for u, r_val in kept:
-        e1 = exp_e1(2.0 * math.pi * v * r_val)
-        terms += ((u, e1), (_neg(u), e1))
+    # every lexicographically negative u precedes every positive one, so in
+    # lexicographic order of u the terms run over -u for the positive u
+    # descending, then over the positive u ascending
+    kept.sort()
+    e1s = [exp_e1(2.0 * math.pi * v * r_val) for _, r_val in kept]
     value = 0.0
-    for _, e1 in sorted(terms):  # in lexicographic order of u
+    for e1 in reversed(e1s):
         value += e1
-    density = len(terms) / radius ** 1.5 if terms else 1.0
+    for e1 in e1s:
+        value += e1
+    n_terms = 2 * len(kept)
+    density = n_terms / radius ** 1.5 if n_terms else 1.0
     tail_bound = density * radius ** 1.5 * beta1_cut
-    return GreenEvaluation(value=value, terms_used=len(terms),
+    return GreenEvaluation(value=value, terms_used=n_terms,
                            tail_bound=tail_bound, radius=radius,
                            nodes_visited=nodes,
                            min_R=min((r for _, r in kept), default=math.inf))

@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from kudla_green import cli, lattice
@@ -341,6 +344,46 @@ def test_output_file_writing(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["command"] == "coeff"
     assert len(payload["rows"]) == 2
+
+
+def test_output_unwritable_path_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code = main(["--output", str(target), "coeff", "--gamma", "0",
+                 "--m-from", "1", "--m-to", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {target}: "
+                            "No such file or directory\n")
+    assert not target.parent.exists()
+
+
+def test_siegel_samples_are_randomstate_7():
+    # oracle: numpy's RandomState(7), drawn as the verify grid was built
+    rng = np.random.RandomState(7)
+    want = []
+    for _ in range(20):
+        y1, y3 = rng.uniform(0.5, 2.0, size=2)
+        y2 = rng.uniform(-0.9, 0.9) * math.sqrt(y1 * y3)
+        x1, x2, x3 = rng.uniform(-2.0, 2.0, size=3)
+        want.append((x1, y1, x2, y2, x3, y3))
+    got = [(p.z1.real, p.z1.imag, p.z2.real, p.z2.imag, p.z3.real, p.z3.imag)
+           for p in cli._siegel_samples()]
+    assert [[x.hex() for x in p] for p in got] == \
+        [[float(x).hex() for x in p] for p in want]
+
+
+def test_verify_does_not_import_numpy_random():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from kudla_green.cli import main\n"
+            "assert main(['verify', '--only',"
+            " 'majorant-siegel-condition']) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exits_2():

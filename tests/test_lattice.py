@@ -615,3 +615,34 @@ def test_green_pays_once_per_pair(monkeypatch):
     ev = green_function(split_discriminant(0, 1), 1.0, Z_GENERIC, 12.0)
     assert ev.terms_used > 0
     assert calls == {"R": ev.terms_used // 2, "E1": ev.terms_used // 2}
+
+
+@pytest.mark.parametrize("gamma,m,radius,value,terms,nodes,min_r", [
+    (0, 1, 12.0, "0x1.21c3b254bc296p+2", 1094, 2266, "0x1.23032ed5b6566p-4"),
+    (0, 1, 60.0, "0x1.21c3b254bc296p+2", 11336, 46362,
+     "0x1.23032ed5b6566p-4"),
+    (1, Fraction(5, 4), 12.0, "0x1.b8d6e2cd055afp+2", 638, 2364,
+     "0x1.034f6d9ee9364p-5"),
+    (0, -1, 12.0, "0x1.6e4f017fce525p-21", 524, 1633,
+     "0x1.07bae271ad3e5p+1"),
+], ids=["m1-r12", "m1-r60", "gamma1-m5/4", "m-1"])
+def test_green_walk_pinned(gamma, m, radius, value, terms, nodes, min_r):
+    # the walk's values, term and node counts at Z_GENERIC, v = 1, pinned
+    # bit for bit; the box-scan and full-tree tests above are the oracle
+    ev = green_function(split_discriminant(gamma, m), 1.0, Z_GENERIC, radius)
+    assert ev.value.hex() == value
+    assert ev.terms_used == terms
+    assert ev.nodes_visited == nodes
+    assert ev.min_R.hex() == min_r
+
+
+def test_green_node_cap_boundary(monkeypatch):
+    # the cap stops the walk at exactly the node past nodes_visited, the
+    # level-0 nodes solved in their parent's loop counted as any other
+    c = split_discriminant(0, 1)
+    ev = green_function(c, 1.0, Z_GENERIC, 4.0)
+    monkeypatch.setattr(lattice, "_NODE_CAP", ev.nodes_visited - 1)
+    with pytest.raises(EnumerationCapError):
+        green_function(c, 1.0, Z_GENERIC, 4.0)
+    monkeypatch.setattr(lattice, "_NODE_CAP", ev.nodes_visited)
+    assert green_function(c, 1.0, Z_GENERIC, 4.0).value == ev.value
