@@ -10,16 +10,17 @@ Three subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including a ``--tol`` that is NaN, not positive for ``green`` or
-negative for ``verify``, and an ``--output`` path that cannot be written,
-reported on stderr), 3 domain error (point outside the half-space or
-with a non-finite coordinate, v or radius not positive and finite, v or
-2 pi v radius below the smallest normal float, a point so far out that the
-majorant Gram matrix loses positive definiteness to rounding or finiteness
-to overflow, or an enumeration past its point cap or node cap),
-4 singular point (on a Heegner divisor).  Exact rationals are printed as
-exact strings ("p/q"), floats with 15 significant digits; identical
-invocations produce byte-identical output, and the JSON and CSV payloads
-carry the same numbers.
+negative for ``verify``, and an ``--output`` path that cannot be written),
+3 domain error (point outside the half-space or with a non-finite
+coordinate, v or radius not positive and finite, v or 2 pi v radius below
+the smallest normal float, a point so far out that the majorant Gram
+matrix loses positive definiteness to rounding or finiteness to overflow,
+or an enumeration past its point cap or node cap), 4 singular point (on a
+Heegner divisor).  Exits 2, 3 and 4 print their message on stderr and
+never open the ``--output`` file.  Exact rationals are printed as exact
+strings ("p/q"), floats with 15 significant digits; identical invocations
+produce byte-identical output, and the JSON and CSV payloads carry the
+same numbers.
 """
 
 from __future__ import annotations
@@ -320,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         code, text = cmd_green(cfg)
     else:
         code, text = cmd_verify(cfg)
+    if code in (EXIT_USAGE, EXIT_DOMAIN, EXIT_SINGULAR):
+        sys.stderr.write(text)
+        return code
     try:
         _emit(text, cfg)
     except OSError as exc:

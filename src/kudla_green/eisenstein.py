@@ -34,6 +34,9 @@ __all__ = [
     "coefficient_c0_prime",
 ]
 
+# past |a| = 1416 the factor e^{-a/2} leaves the normal floats
+_MAX_ABS_A = 1416.0
+
 
 def cohen_H(c: CaseIndex) -> Fraction:
     """Cohen number H(2, 4m) = L(-1, chi_{D0}) xi(D0, f), exact; needs m > 0."""
@@ -49,6 +52,15 @@ def coefficient_C(c: CaseIndex) -> float:
             * L2 / math.pi ** 2)
 
 
+def _exp_neg_half(a: float) -> float:
+    """e^{-a/2} at the signed a = 4 pi m v; ValueError past |a| = 1416, where
+    it leaves the normal floats.  This guards the factor, not its products:
+    c0' at m = -112, v = 1 is already subnormal, J_minus being small there."""
+    if not abs(a) <= _MAX_ABS_A:
+        raise ValueError(f"|a| = 4 pi |m| v must be at most {_MAX_ABS_A:g}")
+    return math.exp(-0.5 * a)
+
+
 def coefficient_c0(c: CaseIndex, v: float) -> float:
     """c0(gamma, m, 0, v) = C e^{-a/2} for m > 0 (a = 4 pi m v); 0 for m < 0."""
     if not (v > 0 and math.isfinite(v)):
@@ -56,7 +68,7 @@ def coefficient_c0(c: CaseIndex, v: float) -> float:
     if c.m < 0:
         return 0.0
     a = FOUR_PI * float(c.m) * v
-    return coefficient_C(c) * math.exp(-0.5 * a)
+    return coefficient_C(c) * _exp_neg_half(a)
 
 
 def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float) -> float:
@@ -70,6 +82,6 @@ def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float) -> float:
     a = FOUR_PI * float(c.m) * v
     C = coefficient_C(c)
     if c.m > 0:
-        return C * math.exp(-0.5 * a) * (J_plus(1.5, a).value + kappa)
+        return C * _exp_neg_half(a) * (J_plus(1.5, a).value + kappa)
     a = abs(a)
-    return C * math.exp(-0.5 * a) * J_minus(1.5, a).value
+    return C * _exp_neg_half(a) * J_minus(1.5, a).value

@@ -51,13 +51,7 @@ GRAM_Q = np.array([
     [-1.0, 0.0, 0.0, 0.0, 0.0],
 ])
 
-GRAM_Q_INV = np.array([
-    [0.0, 0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 0.0, -1.0, 0.0],
-    [0.0, 0.0, 0.5, 0.0, 0.0],
-    [0.0, -1.0, 0.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0, 0.0],
-])
+GRAM_Q_INV = np.linalg.inv(GRAM_Q)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ The integrals handled here are
     beta_s(x)   = int_1^oo  e^{-x t} t^{-s} dt            (s >= 0, x > 0)
     J_plus(s,a) = int_0^oo  e^{-a w} ((w+1)^s - 1) dw / w
     J_minus(s,a)= int_0^oo  e^{-a w} w^s dw / (w+1)
-    I3_plus     = int_0^oo int_1^oo e^{-4 pi v m sinh^2(t) r} sinh t cosh^2 t dr/r dt
-    I3_minus    = int_0^oo int_1^oo e^{-4 pi v |m| cosh^2(t) r} sinh^2 t cosh t dr/r dt
+    I3_plus(a)  = int_0^oo int_1^oo e^{-a sinh^2(t) r} sinh t cosh^2 t dr/r dt
+    I3_minus(a) = int_0^oo int_1^oo e^{-a cosh^2(t) r} sinh^2 t cosh t dr/r dt
 
 all evaluated by a deterministic adaptive Gauss-Kronrod scheme on a finite
 window plus an analytic bound for the exponential tail.  The tail bound is
@@ -352,19 +352,17 @@ def J_minus(s: float, a: float) -> QuadratureResult:
                       lambda T: min(0.5, 0.5 / a))
 
 
-def I3_plus(v: float, m) -> QuadratureResult:
-    """Positive-index orbit integral, depending on (v, m) only through a = 4 pi m v.
+def I3_plus(a: float) -> QuadratureResult:
+    """Positive-index orbit integral at a = 4 pi m v (m > 0).
 
     With the inner integral int_1^oo e^{-cr} dr/r = beta_1(c) this is
-        int_0^oo beta_1(a sinh^2 t) sinh t cosh^2 t dt,   a = 4 pi m v,
+        int_0^oo beta_1(a sinh^2 t) sinh t cosh^2 t dt,
     and must reproduce (1/3) J_plus(3/2, a).  Tail for t >= T >= 1:
     beta_1(y) <= e^{-y}/y gives int_T^oo <= e^{-a sinh^2 T}/(a^2 sinh T)
     (using cosh^2 = 1 + sinh^2 <= 2 sinh^2 there).
     """
-    m = float(m)
-    if not (0 < v < math.inf and 0 < m < math.inf):
-        raise ValueError("need finite v > 0 and m > 0")
-    a = FOUR_PI * (m * v)
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
 
     def tail_at(t: float) -> float:
         sh = math.sinh(t)
@@ -382,19 +380,17 @@ def I3_plus(v: float, m) -> QuadratureResult:
                       lambda T: T / 256.0)
 
 
-def I3_minus(v: float, m) -> QuadratureResult:
-    """Negative-index orbit integral; depends on (v, m) only through a = 4 pi |m| v.
+def I3_minus(a: float) -> QuadratureResult:
+    """Negative-index orbit integral at a = 4 pi |m| v (m < 0).
 
-        int_0^oo beta_1(a cosh^2 t) sinh^2 t cosh t dt,   a = 4 pi |m| v.
+        int_0^oo beta_1(a cosh^2 t) sinh^2 t cosh t dt.
 
     This quadrature is the arbiter for the e^{-|a|} prefactor of the
     reduction to J_minus, which `checks.orbit_minus` compares.  Tail for
     t >= T >= 1: int_T^oo <= e^{-a} e^{-a sinh^2 T} / (2 a^2 sinh T).
     """
-    m = float(m)
-    if not (0 < v < math.inf and -math.inf < m < 0):
-        raise ValueError("need finite v > 0 and m < 0")
-    a = FOUR_PI * (abs(m) * v)
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
 
     def tail_at(t: float) -> float:
         sh = math.sinh(t)

@@ -27,6 +27,14 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_cli_error(capsys, *argv):
+    """Exit code and stderr of a command that ends in an error message."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 def test_coeff_table_values(capsys):
     code, out = run_cli(capsys, "coeff", "--gamma", "0", "--m-from", "1",
                         "--m-to", "3")
@@ -48,10 +56,10 @@ def test_coeff_empty_range_header_only(capsys):
 
 
 def test_coeff_invalid_range_exit_2(capsys):
-    code, out = run_cli(capsys, "coeff", "--gamma", "0", "--m-from", "0",
-                        "--m-to", "3")
+    code, err = run_cli_error(capsys, "coeff", "--gamma", "0", "--m-from",
+                              "0", "--m-to", "3")
     assert code == 2
-    assert "error" in out
+    assert err == "error: gamma=0 table requires m >= 1\n"
 
 
 def test_coeff_gamma1_quarter_indices(capsys):
@@ -98,17 +106,20 @@ def test_green_generic_point(capsys):
 
 
 def test_green_domain_error_exit_3(capsys):
-    code, out = run_cli(capsys, "green", "--z1", "1i", "--z2", "5i",
-                        "--z3", "1i", "--m", "1", "--gamma", "0", "--v", "1")
+    code, err = run_cli_error(capsys, "green", "--z1", "1i", "--z2", "5i",
+                              "--z3", "1i", "--m", "1", "--gamma", "0",
+                              "--v", "1")
     assert code == 3
+    assert err.startswith("error: ")
 
 
 def test_green_majorant_not_positive_definite_exit_3(capsys):
-    code, out = run_cli(capsys, "green", "--z1=0.1+1.1i",
-                        "--z2=1000000.05+0.2i", "--z3=-0.2+0.9i", "--m", "1",
-                        "--gamma", "0", "--v", "1", "--radius", "4")
+    code, err = run_cli_error(capsys, "green", "--z1=0.1+1.1i",
+                              "--z2=1000000.05+0.2i", "--z3=-0.2+0.9i",
+                              "--m", "1", "--gamma", "0", "--v", "1",
+                              "--radius", "4")
     assert code == 3
-    assert out == "error: majorant Gram matrix not positive definite\n"
+    assert err == "error: majorant Gram matrix not positive definite\n"
 
 
 @pytest.mark.parametrize("name,value", [("v", "nan"), ("v", "inf"),
@@ -116,9 +127,9 @@ def test_green_majorant_not_positive_definite_exit_3(capsys):
 def test_green_non_finite_input_exit_3(capsys, name, value):
     argv = list(GREEN_ARGS)
     argv[argv.index(f"--{name}") + 1] = value
-    code, out = run_cli(capsys, *argv)
+    code, err = run_cli_error(capsys, *argv)
     assert code == 3
-    assert out == f"error: {name} must be positive and finite\n"
+    assert err == f"error: {name} must be positive and finite\n"
 
 
 @pytest.mark.parametrize("z1,message", [
@@ -134,32 +145,32 @@ def test_green_non_finite_point_exit_3(capsys, z1, message):
     argv[argv.index("--z1") + 1] = z1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run_cli(capsys, *argv)
+        code, err = run_cli_error(capsys, *argv)
     assert code == 3
-    assert out == message
+    assert err == message
 
 
 def test_green_far_point_cholesky_failure_exit_3(capsys):
     # passes majorant_gram's check, but the reduced Gram matrix loses
     # positive definiteness to rounding inside the enumeration
-    code, out = run_cli(capsys, "green",
-                        "--z1=-2.1066463769301604+1.927729745487047i",
-                        "--z2", "0.9802269730176029+1.101430037749781i",
-                        "--z3", "9998.914313999301+0.9991160152587389i",
-                        "--m", "5/4", "--gamma", "1",
-                        "--v", "0.9117224885582169",
-                        "--radius", "5.484124898473129")
+    code, err = run_cli_error(capsys, "green",
+                              "--z1=-2.1066463769301604+1.927729745487047i",
+                              "--z2", "0.9802269730176029+1.101430037749781i",
+                              "--z3", "9998.914313999301+0.9991160152587389i",
+                              "--m", "5/4", "--gamma", "1",
+                              "--v", "0.9117224885582169",
+                              "--radius", "5.484124898473129")
     assert code == 3
-    assert out == "error: majorant Gram matrix not positive definite\n"
+    assert err == "error: majorant Gram matrix not positive definite\n"
 
 
 def test_green_subnormal_v_exit_3(capsys):
     # 2 pi v R would underflow to 0 for the smallest R the sum keeps
     argv = list(GREEN_ARGS)
     argv[argv.index("--v") + 1] = "5e-324"
-    code, out = run_cli(capsys, *argv)
+    code, err = run_cli_error(capsys, *argv)
     assert code == 3
-    assert out == (f"error: v must be at least {sys.float_info.min!r}, "
+    assert err == (f"error: v must be at least {sys.float_info.min!r}, "
                    "the smallest normal float\n")
     argv[argv.index("--v") + 1] = repr(sys.float_info.min)
     code, out = run_cli(capsys, *argv)
@@ -174,9 +185,9 @@ def test_green_tiny_tail_cut_exit_3(capsys, v, radius):
     argv = list(GREEN_ARGS)
     argv[argv.index("--v") + 1] = v
     argv[argv.index("--radius") + 1] = radius
-    code, out = run_cli(capsys, *argv)
+    code, err = run_cli_error(capsys, *argv)
     assert code == 3
-    assert out == ("error: 2 pi v radius must be at least "
+    assert err == ("error: 2 pi v radius must be at least "
                    f"{sys.float_info.min!r}, the smallest normal float\n")
 
 
@@ -184,26 +195,27 @@ def test_green_cap_overflow_exit_3(capsys, monkeypatch):
     # the shell holds more than 10 points at radius 6; the real cap of
     # 2000000 is reached near radius 4e5
     monkeypatch.setattr(lattice, "_POINT_CAP", 10)
-    code, out = run_cli(capsys, *GREEN_ARGS)
+    code, err = run_cli_error(capsys, *GREEN_ARGS)
     assert code == 3
-    assert out == "error: more than 10 lattice points below the bound\n"
+    assert err == "error: more than 10 lattice points below the bound\n"
 
 
 def test_green_node_cap_overflow_exit_3(capsys, monkeypatch):
     # the walk at radius 6 visits 692 half-tree nodes; the real cap of
     # 20000000 stops m = 1000000, which would otherwise never end
     monkeypatch.setattr(lattice, "_NODE_CAP", 100)
-    code, out = run_cli(capsys, *GREEN_ARGS)
+    code, err = run_cli_error(capsys, *GREEN_ARGS)
     assert code == 3
-    assert out == ("error: more than 100 search-tree nodes in the "
+    assert err == ("error: more than 100 search-tree nodes in the "
                    "enumeration\n")
 
 
 def test_green_singular_point_exit_4(capsys):
-    code, out = run_cli(capsys, "green", "--z1", "1i", "--z2", "0i",
-                        "--z3", "1i", "--m", "1", "--gamma", "0", "--v", "1")
+    code, err = run_cli_error(capsys, "green", "--z1", "1i", "--z2", "0i",
+                              "--z3", "1i", "--m", "1", "--gamma", "0",
+                              "--v", "1")
     assert code == 4
-    assert "divisor" in out
+    assert "divisor" in err
 
 
 def test_green_quarter_index(capsys):
@@ -216,10 +228,11 @@ def test_green_quarter_index(capsys):
 
 
 def test_green_class_mismatch_exit_2(capsys):
-    code, _ = run_cli(capsys, "green", "--z1", "0.4+1.1i", "--z2", "0.3+0.2i",
-                      "--z3", "0.1+0.9i", "--m", "1/4", "--gamma", "0",
-                      "--v", "1")
+    code, err = run_cli_error(capsys, "green", "--z1", "0.4+1.1i",
+                              "--z2", "0.3+0.2i", "--z3", "0.1+0.9i",
+                              "--m", "1/4", "--gamma", "0", "--v", "1")
     assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_verify_default_passes(capsys):
@@ -246,17 +259,17 @@ def test_verify_only_exact_check(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
 def test_green_bad_tol_exit_2(capsys, tol):
-    code, out = run_cli(capsys, *GREEN_ARGS, f"--tol={tol}")
+    code, err = run_cli_error(capsys, *GREEN_ARGS, f"--tol={tol}")
     assert code == 2
-    assert out == "error: tol must be positive\n"
+    assert err == "error: tol must be positive\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_bad_tol_exit_2(capsys, tol):
-    code, out = run_cli(capsys, "verify", "--only", "divisor-sum-exact",
-                        f"--tol={tol}")
+    code, err = run_cli_error(capsys, "verify", "--only",
+                              "divisor-sum-exact", f"--tol={tol}")
     assert code == 2
-    assert out == "error: tol must be nonnegative\n"
+    assert err == "error: tol must be nonnegative\n"
 
 
 NAN_ROUTES = [
@@ -331,8 +344,9 @@ def test_verify_registry_contract():
 
 
 def test_verify_unknown_check_exit_2(capsys):
-    code, out = run_cli(capsys, "verify", "--only", "no-such-check")
+    code, err = run_cli_error(capsys, "verify", "--only", "no-such-check")
     assert code == 2
+    assert err.startswith("error: unknown check 'no-such-check'")
 
 
 def test_output_file_writing(tmp_path, capsys):
@@ -344,6 +358,17 @@ def test_output_file_writing(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["command"] == "coeff"
     assert len(payload["rows"]) == 2
+
+
+def test_output_file_untouched_by_an_error(tmp_path, capsys):
+    target = tmp_path / "o.txt"
+    target.write_text("previous report\n")
+    argv = list(GREEN_ARGS)
+    argv[argv.index("--v") + 1] = "nan"
+    code, err = run_cli_error(capsys, "--output", str(target), *argv)
+    assert code == 3
+    assert err == "error: v must be positive and finite\n"
+    assert target.read_text() == "previous report\n"
 
 
 def test_output_unwritable_path_exit_2(tmp_path, capsys):

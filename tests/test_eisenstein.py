@@ -1,6 +1,7 @@
 """Eisenstein coefficient layer: C, c0, c0', and C = 240 H(2, 4m) at m > 0."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,25 @@ def test_c0_prime_negative_branch_ignores_kappa():
     assert a == b
     want = coefficient_C(c) * math.exp(-0.5) * J_minus(1.5, 1.0).value
     assert a == pytest.approx(want, rel=1e-9)
+
+
+def test_c0_refuses_a_past_the_limit():
+    # |a| = 4 pi |m| v: 1495 at m = 119 and 1420 at m = -113, v = 1
+    for m in (119, -113):
+        with pytest.raises(ValueError, match="at most 1416"):
+            coefficient_c0_prime(split_discriminant(0, m), 1.0, 0.0)
+    with pytest.raises(ValueError, match="at most 1416"):
+        coefficient_c0(split_discriminant(0, 119), 1.0)
+    # c0 forms no factor at m < 0
+    assert coefficient_c0(split_discriminant(0, -119), 1.0) == 0.0
+    # |a| ~ 1407 still evaluates; the limit guards e^{-a/2}, not c0', which
+    # is subnormal at m = -112 because J_minus is small there
+    for m in (112, -112):
+        c = split_discriminant(0, m)
+        assert math.isfinite(coefficient_c0(c, 1.0))
+        assert coefficient_c0_prime(c, 1.0, 0.0) < 0.0
+    subnormal = -coefficient_c0_prime(split_discriminant(0, -112), 1.0, 0.0)
+    assert 0.0 < subnormal < sys.float_info.min
 
 
 def test_c0_prime_vanishes_for_large_a():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kudla_green import checks
 from kudla_green.arith import split_discriminant
 from kudla_green.eisenstein import (coefficient_C, coefficient_c0,
                                     coefficient_c0_prime)
@@ -14,7 +15,7 @@ from kudla_green.integrals import (CASE_I_PREFACTOR, CASE_II_PREFACTOR,
                                    heegner_degree_via_cohen, ibk_integral,
                                    kudla_integral, solve_star,
                                    theorem2_check)
-from kudla_green.specfun import EULER_GAMMA, FOUR_PI, J_plus
+from kudla_green.specfun import EULER_GAMMA, FOUR_PI, J_minus, J_plus
 
 C1 = split_discriminant(0, 1)
 
@@ -25,9 +26,47 @@ def test_prefactors():
 
 
 def test_theorem_report_recomputes_diffs():
-    rep = TheoremReport(lhs=2.0, rhs=1.0, route_labels=("a", "b"))
-    assert rep.abs_diff == 1.0
+    rep = TheoremReport(lhs=2.0, rhs=1.0)
     assert rep.rel_diff == 0.5
+
+
+def test_rel_diff_of_two_zeros_is_nan():
+    # past a ~ 745 both sides of the m < 0 identity underflow to 0, and a
+    # 0 = 0 comparison must not read as a pass
+    assert math.isnan(TheoremReport(lhs=0.0, rhs=0.0).rel_diff)
+    rep = theorem2_check(split_discriminant(0, -1), 800.0 / FOUR_PI)
+    assert rep.lhs == rep.rhs == 0.0
+    assert math.isnan(rep.rel_diff)
+    (row,) = checks.green_integral((-1,), (800.0,))
+    assert not row["diff"] <= 1e-6
+
+
+# (gamma, m, a) -> lhs, rhs and kudla_integral at v = a / (4 pi |m|), .hex()
+_IDENTITY_BITS = [
+    ((0, Fraction(1), 1.0), ("0x1.f9a2e6befd780p+7", "0x1.f9a2e6befd780p+7",
+                             "0x1.679049105c460p-5")),
+    ((0, Fraction(-1), 2.0), ("0x1.66c63fe1abdbfp+0", "0x1.66c63fe1adadbp+0",
+                              "0x1.fe41c6f153c63p-13")),
+    ((1, Fraction(5, 4), 0.37), ("0x1.1c5554dd2f99ep+9", "0x1.1c5554dd31c10p+9",
+                                 "0x1.94629ad430602p-4")),
+    ((1, Fraction(-3, 4), 3.3), ("0x1.2fe704df5e7d7p-4", "0x1.2fe704df5c770p-4",
+                                 "0x1.b0377e65845d6p-17")),
+]
+
+
+def test_identity_layer_bits_pinned():
+    # the orbit integrals, the report and the verify orbit rows keep every
+    # bit through refactors of their signatures
+    for (gamma, m, a), want in _IDENTITY_BITS:
+        c = split_discriminant(gamma, m)
+        v = a / (FOUR_PI * abs(float(m)))
+        rep = theorem2_check(c, v)
+        got = (rep.lhs.hex(), rep.rhs.hex(), kudla_integral(c, v).hex())
+        assert got == want, (gamma, m, a)
+    assert [row["lhs"].hex() for row in checks.orbit_plus((0.5, 2.0))] == \
+        ["0x1.5cf35b56ab453p+0", "0x1.1c511f1bead1fp-2"]
+    assert [row["lhs"].hex() for row in checks.orbit_minus((1,))] == \
+        ["0x1.cb26218b9eeb6p-5"]
 
 
 def test_heegner_degree_m1():
@@ -126,8 +165,12 @@ def test_theorem2_grid(m, a):
     rep = theorem2_check(c, v)
     assert rep.rel_diff <= 1e-6
     assert rep.lhs > 0 and rep.rhs > 0
-    assert "[sign +]" in rep.route_labels[0]
-    assert "[sign -]" in rep.route_labels[1]  # Eisenstein side is negative
+    # the report holds magnitudes; the signed sides are I > 0 and C J with
+    # C < 0 and J > 0, coherent with the analytic (negative) sign of B
+    J = J_plus(1.5, a) if m > 0 else J_minus(1.5, a)
+    assert kudla_integral(c, v) > 0
+    assert coefficient_C(c) < 0
+    assert J.value > 0
 
 
 def test_theorem2_quarter_index():
@@ -204,7 +247,16 @@ def test_corollary_zero_residual_at_solved_star():
     star = solve_star(C1, v, kappa)
     rep = corollary_check(C1, v, kappa, star)
     scale = abs(coefficient_C(C1))
-    assert rep.abs_diff <= 1e-8 * scale
+    assert abs(rep.lhs - rep.rhs) <= 1e-8 * scale
+
+
+def test_corollary_refuses_a_past_the_limit():
+    # e^{-a/2} at signed |a| > 1416 would underflow (m = 119, a ~ 1495:
+    # c0 read -0.0 and solve_star divided by it) or overflow (m = -113)
+    with pytest.raises(ValueError, match="at most 1416"):
+        solve_star(split_discriminant(0, 119), 1.0, 0.3)
+    with pytest.raises(ValueError, match="at most 1416"):
+        corollary_check(split_discriminant(0, -113), 1.0, 0.3, -3.1)
 
 
 def test_solve_star_rejects_negative_m():

@@ -70,3 +70,81 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+# The benchmark under perfbench/ imports library names, reads module
+# attributes, monkeypatches some by their string names and names its spans
+# `layer.function`; the checks below read those files and import nothing
+# from them.
+PERFBENCH = ROOT / "perfbench"
+
+
+def _literal(path, name):
+    """The literal a perfbench file assigns to the module-level `name`."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == name):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no literal {name}")
+
+
+def _library_names_used(path):
+    """(module, attribute) pairs a perfbench file imports, reads or
+    monkeypatches by name from kudla_green."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, used = {}, []  # local name -> the library module it binds
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "kudla_green"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                used.append((module, alias.name))
+                if node.module == "kudla_green" and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = \
+                        importlib.import_module(f"kudla_green.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "kudla_green":
+                    module = importlib.import_module(alias.name)
+                    if alias.asname:
+                        modules[alias.asname] = module
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.append((modules[node.value.id], node.attr))
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and getattr(node.func, "attr", None) == "setattr"):
+            target, attr = node.args[:2]
+            if (isinstance(target, ast.Name) and target.id in modules
+                    and isinstance(attr, ast.Constant)):
+                used.append((modules[target.id], attr.value))
+            elif (isinstance(target, ast.Constant)
+                  and str(target.value).startswith("kudla_green.")):
+                module, _, name = target.value.rpartition(".")
+                used.append((importlib.import_module(module), name))
+    return used
+
+
+def test_benchmark_library_names_resolve():
+    used = [pair for path in sorted(PERFBENCH.glob("*.py"))
+            for pair in _library_names_used(path)]
+    assert used
+    missing = sorted({f"{module.__name__}.{attr}" for module, attr in used
+                      if not hasattr(module, attr)})
+    assert not missing, f"perfbench uses names the library lacks: {missing}"
+
+
+def test_benchmark_span_names_are_exported():
+    spans = PERFBENCH / "spans.py"
+    names = set()
+    for _, span_names, *within in _literal(spans, "METRICS").values():
+        names.update(span_names, within)
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"kudla_green.{layer}")
+        assert attr in module.__all__, f"span {name} is no export of {layer}"
+    for layer in _literal(spans, "LAYERS"):
+        assert importlib.import_module(f"kudla_green.{layer}").__all__
+    cli = importlib.import_module("kudla_green.cli")
+    checks = _literal(PERFBENCH / "workloads.py", "VERIFY_CHECKS")
+    assert set(checks) <= set(cli._VERIFY_CHECKS)
