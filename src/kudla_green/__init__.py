@@ -18,14 +18,13 @@ from .geometry import (SiegelPoint, embed_u, humbert_discriminant,
                        majorant_R, majorant_gram, psi)
 from .integrals import (TheoremReport, corollary_check, frozen_normalization,
                         heegner_degree, heegner_degree_via_cohen,
-                        ibk_integral, kudla_integral, solve_star,
-                        theorem2_check)
+                        ibk_integral, kudla_integral, theorem2_check)
 from .lattice import (EnumerationCapError, GreenEvaluation, SingularPointError,
                       enumerate_bounded, green_function, orbit_representative,
                       primitive_decomposition)
 from .specfun import (ABS_TOL, EULER_GAMMA, I3_minus, I3_plus, J_minus,
                       J_plus, QuadratureResult, ToleranceError, beta_s,
-                      e1_series, exp_e1)
+                      exp_e1)
 from .volumes import (B, V22, hirzebruch_vol, humbert_V13, vol_sie,
                       zeta_K_minus1)
 

@@ -49,6 +49,9 @@ __all__ = [
     "L_chi_2_series",
 ]
 
+# largest |4m| `split_discriminant` accepts (one coeff row takes ~3 s there)
+_MAX_ABS_4M = 10 ** 9
+
 
 # ---------------------------------------------------------------------------
 # Case indices and discriminant splitting
@@ -170,11 +173,15 @@ def split_discriminant(gamma: int, m) -> CaseIndex:
     """Split the index m into its CaseIndex with 4m = D0 * f**2.
 
     gamma = 0 requires a nonzero integer m; gamma = 1 requires m in
-    Z + 1/4.  Works for negative m (then D0 < 0).
+    Z + 1/4, and |4m| must be at most 10**9.  Works for negative m (then
+    D0 < 0).
     """
     m = Fraction(m)
     _check_index(gamma, m)
-    s, t = _squarefree_part(int(4 * m))
+    n4 = int(4 * m)
+    if abs(n4) > _MAX_ABS_4M:
+        raise ValueError(f"|4m| must be at most {_MAX_ABS_4M}")
+    s, t = _squarefree_part(n4)
     if s % 4 == 1:
         D0, f = s, t
     else:

@@ -13,7 +13,7 @@ worst-of reducer a NaN diff wins, so a route that returns NaN fails
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +22,8 @@ from .arith import (CaseIndex, L_chi_2_series, sigma_gamma_m,
                     split_discriminant, xi_twisted)
 from .eisenstein import cohen_H
 from .geometry import GRAM_Q, GRAM_Q_INV, SiegelPoint, majorant_gram
-from .integrals import (heegner_degree, heegner_degree_via_cohen,
-                        theorem2_check)
+from .integrals import (TheoremReport, corollary_check, heegner_degree,
+                        heegner_degree_via_cohen, theorem2_check)
 from .specfun import FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
 from .volumes import V22, hirzebruch_vol, humbert_V13, zeta_K_minus1
 
@@ -117,17 +117,32 @@ def orbit_minus(grid: Iterable[float]) -> list[dict]:
     return rows
 
 
-def green_integral(ms: Iterable[int],
-                   a_grid: Iterable[float]) -> list[dict]:
-    """theorem2_check at v = a / (4 pi |m|), one row per (m, a)."""
+def _identity_rows(title: str,
+                   report: Callable[[CaseIndex, float], TheoremReport],
+                   ms: Iterable[int], a_grid: Iterable[float]) -> list[dict]:
+    """report(c, v) at v = a / (4 pi |m|), one row per (m, a)."""
     rows = []
     for m in ms:
         c = split_discriminant(0, m)
         for a in a_grid:
-            rep = theorem2_check(c, a / (FOUR_PI * abs(m)))
-            rows.append(_row(f"(4/B) I vs Eisenstein side, m={m}, a={a}",
+            rep = report(c, a / (FOUR_PI * abs(m)))
+            rows.append(_row(f"{title}, m={m}, a={a}",
                              rep.rel_diff, rep.lhs, rep.rhs))
     return rows
+
+
+def green_integral(ms: Iterable[int], a_grid: Iterable[float]) -> list[dict]:
+    """theorem2_check at v = a / (4 pi |m|), one row per (m, a)."""
+    return _identity_rows("(4/B) I vs Eisenstein side", theorem2_check,
+                          ms, a_grid)
+
+
+def corollary(ms: Iterable[int], a_grid: Iterable[float],
+              kappa: float) -> list[dict]:
+    """corollary_check at v = a / (4 pi |m|), one row per (m, a)."""
+    return _identity_rows("c0' vs e^{-a/2} (4/B)(I - I_ibk) + * c0",
+                          lambda c, v: corollary_check(c, v, kappa),
+                          ms, a_grid)
 
 
 def siegel_condition(points: list[SiegelPoint]) -> list[dict]:

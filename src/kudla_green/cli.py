@@ -9,8 +9,9 @@ Three subcommands:
   report one PASS/FAIL line per row (exit 1 on any FAIL).
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error (including a ``--tol`` that is NaN, not positive for ``green`` or
-negative for ``verify``, and an ``--output`` path that cannot be written),
+error (including an index that does not match its gamma or has |4m| above
+10**9, a ``--tol`` that is NaN, not positive for ``green`` or negative for
+``verify``, and an ``--output`` path that cannot be written),
 3 domain error (point outside the half-space or with a non-finite
 coordinate, v or radius not positive and finite, v or 2 pi v radius below
 the smallest normal float, a point so far out that the majorant Gram
@@ -231,6 +232,8 @@ _VERIFY_CHECKS = {
         lambda: checks.orbit_minus((1,)),
     "green-integral-identity": lambda: checks.green_integral(
         (1, 2, -1), (1.0, 2.0)),
+    "corollary-identity": lambda: checks.corollary(
+        (1, 2, -1), (1.0, 2.0), kappa=0.7),
     "majorant-siegel-condition":
         lambda: checks.siegel_condition(_siegel_samples()),
     "volume-spot-values": checks.volume_spot_values,

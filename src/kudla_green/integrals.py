@@ -29,6 +29,11 @@ multi-point identity.  With the conventions above the frozen constant comes
 out at 1 to quadrature accuracy.  Magnitudes are compared; the tests assert
 the signs (I > 0, and C < 0 times a positive J), a chain that is coherent
 once B carries its analytic (negative) sign.
+
+The corollary compares c0' with e^{-a/2} (4/B)(-frozen I - I_ibk) + * c0 at
+the signed a = 4 pi m v and the fixed * = -(log 4 pi + gamma_E), which
+cancels the kappa + log 4 pi + gamma_E of I_ibk against * c0: the rhs is
+Theorem 2 times e^{-a/2}, plus the kappa c0 that c0' carries too.
 """
 
 from __future__ import annotations
@@ -56,11 +61,12 @@ __all__ = [
     "theorem2_check",
     "ibk_integral",
     "corollary_check",
-    "solve_star",
 ]
 
 CASE_I_PREFACTOR = 3.0 / (4.0 * math.pi ** 2)
 CASE_II_PREFACTOR = 3.0 / (2.0 * math.pi ** 2)
+
+_STAR = -(math.log(4.0 * math.pi) + EULER_GAMMA)  # the corollary's *
 
 
 @dataclass(frozen=True)
@@ -164,39 +170,13 @@ def ibk_integral(c: CaseIndex, kappa: float) -> float:
             * (kappa + math.log(4.0 * math.pi) + EULER_GAMMA))
 
 
-def _corollary_rhs(c: CaseIndex, v: float, kappa: float, star: float) -> float:
-    """e^{-a/2} (4/B)(I - I_counterpart) + star * c0, with signed a and the
-    analytic (negative) sign of B."""
+def corollary_check(c: CaseIndex, v: float, kappa: float) -> TheoremReport:
+    """Compare c0' against e^{-a/2} (4/B)(I - I_counterpart) + * c0, with
+    signed a, the analytic (negative) sign of B and the fixed *; kappa =
+    C'/C as everywhere.  For m < 0, I_counterpart and c0 vanish."""
     a = FOUR_PI * float(c.m) * v
     four_over_B = 4.0 / float(B)
     val = (-four_over_B * frozen_normalization() * kudla_integral(c, v)
            - four_over_B * ibk_integral(c, kappa))
-    return _exp_neg_half(a) * val + star * coefficient_c0(c, v)
-
-
-def corollary_check(c: CaseIndex, v: float, kappa: float,
-                    star: float) -> TheoremReport:
-    """Compare c0' against e^{-a/2} (4/B)(I - I_counterpart) + star * c0.
-
-    star is the undetermined constant of the difference identity, supplied
-    by the caller (see solve_star); kappa = C'/C as everywhere.  For m < 0
-    the counterpart integral and c0 both vanish and the identity is exact
-    regardless of star and kappa.
-    """
-    return TheoremReport(lhs=coefficient_c0_prime(c, v, kappa),
-                         rhs=_corollary_rhs(c, v, kappa, star))
-
-
-def solve_star(c: CaseIndex, v: float, kappa: float) -> float:
-    """The star value zeroing the corollary residual at (c, v, kappa).
-
-    Defined for m > 0 only (for m < 0 the star term is dead).  The solved
-    value is v- and kappa-independent up to quadrature error; both
-    properties are asserted in the tests rather than assumed.
-    """
-    if c.m <= 0:
-        raise ValueError("star is determined only on the m > 0 branch")
-    c0 = coefficient_c0(c, v)
-    base = _corollary_rhs(c, v, kappa, 0.0)
-    lhs = coefficient_c0_prime(c, v, kappa)
-    return (lhs - base) / c0
+    rhs = _exp_neg_half(a) * val + _STAR * coefficient_c0(c, v)
+    return TheoremReport(lhs=coefficient_c0_prime(c, v, kappa), rhs=rhs)

@@ -44,7 +44,6 @@ __all__ = [
     "EULER_GAMMA",
     "adaptive_quadrature",
     "exp_e1",
-    "e1_series",
     "beta_s",
     "J_plus",
     "J_minus",
@@ -63,9 +62,7 @@ _MAX_SUBDIVISIONS = 4000
 
 # start window edge of `_truncated`, in e-folding lengths of the decay
 _START_EFOLDS = 46.0
-# domain of `e1_series`: past it cancellation eats E1's digits (none by x = 20)
-_E1_SERIES_MAX_X = 16.0
-# term cap of the E1 power series; at x = 16 the loop stops at k = 70
+# term cap of the E1 power series; below x = 1.5 the loop stops by k = 22
 _E1_SERIES_TERMS = 120
 
 
@@ -188,7 +185,8 @@ def adaptive_quadrature(f, a: float, b: float, tail_bound: float = 0.0,
 # ---------------------------------------------------------------------------
 
 def _e1_power_series(x: float) -> float:
-    """The power series of `e1_series`, unchecked (0 < x <= 16)."""
+    """E1(x) = -gamma - ln x + sum (-1)^{k+1} x^k / (k k!), unchecked;
+    `exp_e1`'s branch below x = 1.5 (cancellation: ~9e-12 off at x = 16)."""
     total = 0.0
     term = 1.0
     for k in range(1, _E1_SERIES_TERMS + 1):
@@ -205,21 +203,6 @@ def _e1_power_series(x: float) -> float:
         if -lim < delta < lim:
             break
     return -EULER_GAMMA - math.log(x) + total
-
-
-def e1_series(x: float) -> float:
-    """E1(x) by the classical power series -gamma - ln x + sum (-1)^{k+1} x^k/(k k!),
-    for 0 < x <= 16 only; ValueError outside that domain.
-
-    Cancellation costs absolute accuracy as x grows: the error is ~5e-13 at
-    x = 15 and ~9e-12 at x = 16, while past the bound it reaches ~2e-10 at
-    x = 20 and the value turns negative by x = 25.  This is the stated
-    independent oracle for beta_1 on small x; `exp_e1` uses the same series
-    below x = 1.5 only.
-    """
-    if not 0 < x <= _E1_SERIES_MAX_X:
-        raise ValueError(f"x must be in (0, {_E1_SERIES_MAX_X:g}]")
-    return _e1_power_series(x)
 
 
 # a_k = -k^2 of the E1 continued fraction, k = 1..299

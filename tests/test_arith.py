@@ -116,6 +116,16 @@ def test_split_rejects_bad_input():
         split_discriminant(2, 1)
 
 
+def test_split_refuses_index_past_the_limit():
+    # |4m| = 10**9 is the largest accepted; factoring past it is unbounded
+    assert split_discriminant(0, 250_000_000).D0 == 40
+    assert split_discriminant(0, -250_000_000).D0 == -40
+    for gamma, m in ((0, 250_000_001), (0, -250_000_001),
+                     (1, Fraction(10 ** 9 + 1, 4))):
+        with pytest.raises(ValueError, match="at most 1000000000"):
+            split_discriminant(gamma, m)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=-400, max_value=400).filter(lambda m: m != 0))
 def test_split_round_trip_gamma0(m):

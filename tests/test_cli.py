@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kudla_green import cli, lattice
+from kudla_green import arith, cli, integrals, lattice
 from kudla_green.arith import L_chi_2_series
 from kudla_green.cli import main
 
@@ -210,6 +210,21 @@ def test_green_node_cap_overflow_exit_3(capsys, monkeypatch):
                    "enumeration\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--gamma", "0", "--m-from", "26", "--m-to", "26"],
+    ["coeff", "--gamma", "1", "--m-from", "101", "--m-to", "101"],
+    [*GREEN_ARGS[:6], "--m", "26", "--gamma", "0", "--v", "1"],
+    [*GREEN_ARGS[:6], "--m=-103/4", "--gamma", "1", "--v", "1"],
+], ids=["coeff-gamma0", "coeff-gamma1", "green-gamma0", "green-gamma1"])
+def test_index_past_the_limit_exit_2(capsys, monkeypatch, argv):
+    # the real limit |4m| <= 10**9 keeps one index below a few seconds;
+    # 4m = 104, 101 and -103 pass every other check
+    monkeypatch.setattr(arith, "_MAX_ABS_4M", 100)
+    code, err = run_cli_error(capsys, *argv)
+    assert code == 2
+    assert err == "error: |4m| must be at most 100\n"
+
+
 def test_green_singular_point_exit_4(capsys):
     code, err = run_cli_error(capsys, "green", "--z1", "1i", "--z2", "0i",
                               "--z3", "1i", "--m", "1", "--gamma", "0",
@@ -287,6 +302,19 @@ def test_verify_nan_route_fails(capsys, monkeypatch, name, route):
     assert "FAIL" in out
 
 
+def test_verify_corollary_row_fails_on_a_wrong_derivative(capsys, monkeypatch):
+    # the constant * is fixed, so a c0' off by 1e-5 can no longer be
+    # absorbed into it
+    argv = ("verify", "--only", "corollary-identity")
+    assert run_cli(capsys, *argv)[0] == 0
+    c0_prime = integrals.coefficient_c0_prime
+    monkeypatch.setattr(integrals, "coefficient_c0_prime",
+                        lambda c, v, kappa: (1 + 1e-5) * c0_prime(c, v, kappa))
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "FAIL" in out
+
+
 def test_verify_V22_row_compares_against_the_series(capsys, monkeypatch):
     # the V_{1,3}(-4) and V_{2,2}(5) rows read G = L(2, chi_{-4}) and
     # L(2, chi_5) from the independent oracle, so a wrong oracle fails both
@@ -334,8 +362,9 @@ def test_verify_registry_contract():
     assert list(cli._VERIFY_CHECKS) == [
         "divisor-sum-exact", "cohen-dual-route", "degree-dual-route",
         "orbit-integral-reduction", "orbit-integral-negative-convention",
-        "green-integral-identity", "majorant-siegel-condition",
-        "volume-spot-values", "zeta-functional-equation"]
+        "green-integral-identity", "corollary-identity",
+        "majorant-siegel-condition", "volume-spot-values",
+        "zeta-functional-equation"]
     for check in cli._VERIFY_CHECKS.values():
         rows = check()
         assert rows
@@ -432,9 +461,9 @@ _README_GREEN = ["green", "--z1", "0.1+1.1i", "--z2", "0.2+0.15i",
     (_README_GREEN + ["--m=-3/4", "--gamma", "1"],
      "648ed1f72b7f5f96d605441d0c594dc750530f832c38720a649136354624f14e"),
     (["verify"],
-     "82a13a971ef89149c16a2d94a91b869c56d55dd05bdd9043b56aadc4dedfdd4a"),
+     "1e0e9546c7900cdd5516199cdc3a502c1549266fdbebfee7aa648597b4687d1c"),
     (["--format", "json", "verify"],
-     "97314a2940feaffbdc1f750f25f6238b0e59563892e52c45f0c3c6960bd63b07"),
+     "7f50a887073a716517e601c581b2008bbac920f7d0cd484ae3353a2d58dbae6b"),
 ], ids=["coeff-gamma0", "coeff-gamma1", "green-m1", "green-m-minus-3-4",
         "verify-text", "verify-json"])
 def test_output_bytes_pinned(capsys, argv, digest):

@@ -13,11 +13,12 @@ from kudla_green.integrals import (CASE_I_PREFACTOR, CASE_II_PREFACTOR,
                                    TheoremReport, corollary_check,
                                    frozen_normalization, heegner_degree,
                                    heegner_degree_via_cohen, ibk_integral,
-                                   kudla_integral, solve_star,
-                                   theorem2_check)
-from kudla_green.specfun import EULER_GAMMA, FOUR_PI, J_minus, J_plus
+                                   kudla_integral, theorem2_check)
+from kudla_green.specfun import ABS_TOL, EULER_GAMMA, FOUR_PI, J_minus, J_plus
 
 C1 = split_discriminant(0, 1)
+# the constant * of the corollary
+STAR = -(math.log(4.0 * math.pi) + EULER_GAMMA)
 
 
 def test_prefactors():
@@ -98,7 +99,7 @@ def test_v_must_be_positive_and_finite(v):
                      lambda: coefficient_c0_prime(c, v, 0.0),
                      lambda: kudla_integral(c, v),
                      lambda: theorem2_check(c, v),
-                     lambda: corollary_check(c, v, 0.0, 0.0)):
+                     lambda: corollary_check(c, v, 0.0)):
             with pytest.raises(ValueError,
                                match="^v must be positive and finite$"):
                 call()
@@ -186,9 +187,19 @@ def test_theorem2_quarter_index_negative():
         assert theorem2_check(c, v).rel_diff <= 1e-6
 
 
+def _solved_star(c, v, kappa):
+    """The * that zeroes the corollary residual at (c, v, kappa), m > 0.
+
+    The rhs is affine in * with slope c0, and corollary_check evaluates it
+    at STAR, so this is the constant the identity itself asks for.
+    """
+    rep = corollary_check(c, v, kappa)
+    return STAR + (rep.lhs - rep.rhs) / coefficient_c0(c, v)
+
+
 def test_solve_star_same_constant_on_both_components():
-    s0 = solve_star(C1, 1.0 / FOUR_PI, 0.0)
-    s1 = solve_star(split_discriminant(1, Fraction(5, 4)), 0.05, 0.3)
+    s0 = _solved_star(C1, 1.0 / FOUR_PI, 0.0)
+    s1 = _solved_star(split_discriminant(1, Fraction(5, 4)), 0.05, 0.3)
     assert abs(s0 - s1) <= 1e-8
 
 
@@ -205,13 +216,14 @@ def test_corollary_negative_index_is_exact():
     c = split_discriminant(0, -1)
     for a in (0.5, 1.0, 3.0):
         v = a / FOUR_PI
-        rep = corollary_check(c, v, kappa=0.4, star=123.0)
-        assert rep.rel_diff <= 1e-8  # star and kappa are both dead here
+        rep = corollary_check(c, v, kappa=0.4)
+        assert rep.rel_diff <= 1e-8  # * and kappa are both dead here
 
 
 def test_solve_star_v_independent():
     kappa = 0.2
-    stars = [solve_star(C1, a / FOUR_PI, kappa) for a in (0.5, 1.0, 2.0, 4.0)]
+    stars = [_solved_star(C1, a / FOUR_PI, kappa)
+             for a in (0.5, 1.0, 2.0, 4.0)]
     for s in stars[1:]:
         assert abs(s - stars[0]) <= 1e-6
     # and the solved value is the explicit constant -(log 4 pi + gamma)
@@ -223,42 +235,57 @@ def test_solve_star_kappa_shift_is_neutral():
     # kappa cancels between c0' and the counterpart integral, so the solved
     # star responds linearly with slope zero
     v = 1.0 / FOUR_PI
-    s0 = solve_star(C1, v, 0.0)
-    s1 = solve_star(C1, v, 0.5)
-    s2 = solve_star(C1, v, 1.0)
+    s0 = _solved_star(C1, v, 0.0)
+    s1 = _solved_star(C1, v, 0.5)
+    s2 = _solved_star(C1, v, 1.0)
     assert abs(s1 - s0) <= 1e-8 and abs(s2 - s1) <= 1e-8
 
 
-def test_corollary_residual_affine_in_star():
-    v = 0.7 / FOUR_PI
-    kappa = 0.1
-    r0 = corollary_check(C1, v, kappa, 0.0)
-    r1 = corollary_check(C1, v, kappa, 1.0)
-    r2 = corollary_check(C1, v, kappa, 2.0)
-    slope1 = r1.rhs - r0.rhs
-    slope2 = r2.rhs - r1.rhs
-    assert slope1 == pytest.approx(slope2, rel=1e-10)
-    assert slope1 == pytest.approx(coefficient_c0(C1, v), rel=1e-10)
-
-
 def test_corollary_zero_residual_at_solved_star():
+    # the fixed * is the solved one, so the residual is quadrature noise
     v = 1.3 / FOUR_PI
-    kappa = -0.3
-    star = solve_star(C1, v, kappa)
-    rep = corollary_check(C1, v, kappa, star)
+    rep = corollary_check(C1, v, -0.3)
     scale = abs(coefficient_C(C1))
     assert abs(rep.lhs - rep.rhs) <= 1e-8 * scale
 
 
+_COROLLARY_INDICES = [(0, 1), (0, 2), (0, 5), (0, 6), (1, Fraction(5, 4)),
+                      (1, Fraction(13, 4)), (0, -1), (0, -2),
+                      (1, Fraction(-3, 4)), (1, Fraction(-15, 4))]
+
+
+@pytest.mark.parametrize("gamma, m", _COROLLARY_INDICES,
+                         ids=[str(m) for _, m in _COROLLARY_INDICES])
+def test_corollary_residual_within_quadrature_contract(gamma, m):
+    # rhs - lhs = e^{-sa/2} |C| (J - 3 F I3), s the sign of m, with
+    # J = J_plus(3/2, a) for m > 0 and e^{-a} J_minus(3/2, a) for m < 0 and
+    # F = J_plus(3/2, 1) / 3 I3_plus(1) the frozen constant.  Each J and I3
+    # is within ABS_TOL, so |J - 3 F I3| <= 4 ABS_TOL (1 + J / J_plus(3/2, 1)).
+    c = split_discriminant(gamma, m)
+    scale = abs(coefficient_C(c))
+    J1 = J_plus(1.5, 1.0).value
+    for a in (0.3, 1.0, 2.0, 5.0):
+        v = a / (FOUR_PI * abs(float(m)))
+        if m > 0:
+            J, sa = J_plus(1.5, a).value, a
+        else:
+            J, sa = J_minus(1.5, a).value * math.exp(-a), -a
+        bound = 4 * ABS_TOL * scale * math.exp(-sa / 2) * (1 + J / J1)
+        lhs_T2 = theorem2_check(c, v).lhs
+        for kappa in (-0.5, 0.0, 0.7):
+            rep = corollary_check(c, v, kappa)
+            assert abs(rep.lhs - rep.rhs) <= bound, (a, kappa)
+            # with the fixed *, the rhs is Theorem 2 times e^{-a/2} plus
+            # the kappa c0 of c0'
+            assert rep.rhs == pytest.approx(
+                -math.exp(-sa / 2) * lhs_T2 + kappa * coefficient_c0(c, v),
+                rel=1e-13)
+
+
 def test_corollary_refuses_a_past_the_limit():
     # e^{-a/2} at signed |a| > 1416 would underflow (m = 119, a ~ 1495:
-    # c0 read -0.0 and solve_star divided by it) or overflow (m = -113)
+    # c0 would read -0.0) or overflow (m = -113)
     with pytest.raises(ValueError, match="at most 1416"):
-        solve_star(split_discriminant(0, 119), 1.0, 0.3)
+        corollary_check(split_discriminant(0, 119), 1.0, 0.3)
     with pytest.raises(ValueError, match="at most 1416"):
-        corollary_check(split_discriminant(0, -113), 1.0, 0.3, -3.1)
-
-
-def test_solve_star_rejects_negative_m():
-    with pytest.raises(ValueError):
-        solve_star(split_discriminant(0, -1), 0.1, 0.0)
+        corollary_check(split_discriminant(0, -113), 1.0, 0.3)

@@ -17,7 +17,9 @@ from kudla_green.lattice import (_QHAT, EnumerationCapError,
                                  enumerate_bounded, green_function,
                                  majorant_value, orbit_representative,
                                  primitive_decomposition)
-from kudla_green.specfun import ABS_TOL, e1_series, exp_e1
+from kudla_green.specfun import ABS_TOL, exp_e1
+
+from e1_oracle import e1_series_reference
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)
@@ -215,7 +217,8 @@ def _green_box_terms(c, z, radius):
 def _green_box_oracle(c, v, z, radius):
     """Independent evaluation: box scan for qhat = 4m, series E1 terms."""
     terms = _green_box_terms(c, z, radius)
-    total = sum(e1_series(2.0 * math.pi * v * r_val) for _, r_val in terms)
+    total = sum(e1_series_reference(2.0 * math.pi * v * r_val)
+                for _, r_val in terms)
     return total, len(terms)
 
 

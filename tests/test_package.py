@@ -50,17 +50,47 @@ def _names_read(paths):
     return read
 
 
-def test_every_exported_constant_is_read():
-    # an UPPER_CASE export that neither the library nor the benchmark reads
-    # is dead; the package's re-exports and the tests do not count
+def _exports_not_read():
+    """module.name of every export that neither the library nor the
+    benchmark reads; the package's re-exports and the tests do not count."""
     library = [p for p in (ROOT / "src" / "kudla_green").glob("*.py")
                if p.name != "__init__.py"]
     read = _names_read(library + list((ROOT / "perfbench").glob("*.py")))
-    unread = [f"{name}.{attr}" for name in MODULES
-              for attr in getattr(importlib.import_module(
-                  f"kudla_green.{name}"), "__all__", ())
-              if attr.isupper() and attr not in read]
+    return [(f"{name}.{attr}", getattr(module, attr))
+            for name in MODULES
+            for module in [importlib.import_module(f"kudla_green.{name}")]
+            for attr in getattr(module, "__all__", ()) if attr not in read]
+
+
+def test_every_exported_constant_is_read():
+    # an UPPER_CASE export nothing reads is dead
+    unread = [name for name, _ in _exports_not_read()
+              if name.rpartition(".")[2].isupper()]
     assert not unread, f"exported but never read: {unread}"
+
+
+# Public functions that only the tests call, each kept for the reason given.
+ORACLES = (
+    ("geometry.psi", "the paper's psi(z, x), checked against the pairing "
+                     "with embed_u(z)"),
+    ("geometry.majorant_R", "R(x, z) at one vector: the box-scan oracle's "
+                            "filter and the acceptance majorant suite"),
+    ("geometry.humbert_discriminant", "4 q(x) in exact Fractions, the oracle "
+                                      "of the lattice's qhat"),
+    ("lattice.orbit_representative", "a primitive vector with qhat = 4m, the "
+                                     "log-singularity criterion's start"),
+    ("specfun.beta_s", "E1 = beta_1 by quadrature, the independent route of "
+                       "exp_e1"),
+)
+
+
+def test_every_exported_function_is_read_or_an_oracle():
+    # a public function that only the tests call belongs in the tests,
+    # unless it is a named oracle
+    unread = {name for name, value in _exports_not_read() if callable(value)}
+    oracles = {name for name, _ in ORACLES}
+    assert not unread - oracles, f"read only by the tests: {unread - oracles}"
+    assert not oracles - unread, f"read by the library: {oracles - unread}"
 
 
 def test_readme_library_example_runs():
