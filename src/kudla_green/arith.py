@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -355,10 +356,11 @@ def bernoulli_L_minus1(D0: int) -> Fraction:
 # psi'(y) ~ 1/y + 1/(2 y^2) + sum_{j<=5} B_{2j} y^{-2j-1}, term by term
 _TRIGAMMA_COEF = np.array([1.0, 0.5, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66])
 _TRIGAMMA_POW = np.array([1, 2, 3, 5, 7, 9, 11])
+_L2_BLOCK = 4096  # residues per block of `L_chi_2_series`'s trigamma table
 
 
-def _trigamma_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of terms summing to psi'(x), one per x > 0, and row bounds.
+def _trigamma_terms(x: np.ndarray) -> np.ndarray:
+    """Rows of terms summing to psi'(x), one per x > 0.
 
     psi'(x) = sum_{k<16} (x + k)^{-2} + psi'(y), y = x + 16; for real y > 0
     the asymptotic series of psi'(y) misses by at most its first omitted
@@ -368,7 +370,7 @@ def _trigamma_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = 1.0 / (x + 16.0)
     head = 1.0 / (x + np.arange(16)) ** 2
     tail = _TRIGAMMA_COEF * inv ** _TRIGAMMA_POW
-    return np.hstack([head, tail]), 691 / 2730 * inv[:, 0] ** 13
+    return np.hstack([head, tail])
 
 
 def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
@@ -385,11 +387,13 @@ def L_chi_2_series(D0: int, abs_tol: float = 1e-12) -> float:
         raise ValueError("abs_tol must be positive")
     F = abs(D0)
     chi = np.array([kronecker_chi(D0, a) for a in range(1, F + 1)], float)
-    terms, bound = _trigamma_terms(np.arange(1, F + 1) / F)
+    x = np.arange(1, F + 1) / F
+    bound = 691 / 2730 * (1.0 / (x + 16.0)) ** 13  # |B_12| (x + 16)^{-13}
     if math.fsum(np.abs(chi) * bound) / (F * F) > abs_tol:
         raise ToleranceError(f"L(2, chi_{D0}) cannot certify abs_tol={abs_tol}")
-    terms *= chi[:, None]
-    return math.fsum(terms.ravel()) / (F * F)
+    rows = ((_trigamma_terms(x[i:i + _L2_BLOCK]) * chi[i:i + _L2_BLOCK, None])
+            .ravel().tolist() for i in range(0, F, _L2_BLOCK))
+    return math.fsum(chain.from_iterable(rows)) / (F * F)
 
 
 def _theta_L2_term(n: int, F: int) -> float:

@@ -97,21 +97,21 @@ def degree_dual(cases: Iterable[CaseIndex]) -> list[dict]:
 
 
 def orbit_plus(grid: Iterable[float]) -> list[dict]:
-    """I3_plus(a) = J_plus(3/2, a) / 3, one row per a."""
+    """I3_plus(a) = J_plus(a) / 3, one row per a."""
     rows = []
     for a in grid:
         i3 = I3_plus(a).value
-        jp = J_plus(1.5, a).value / 3.0
+        jp = J_plus(a).value / 3.0
         rows.append(_row(f"I3_plus = J_plus/3 at a={a}", abs(i3 - jp), i3, jp))
     return rows
 
 
 def orbit_minus(grid: Iterable[float]) -> list[dict]:
-    """I3_minus(a) = e^{-a} J_minus(3/2, a) / 3, one row per a."""
+    """I3_minus(a) = e^{-a} J_minus(a) / 3, one row per a."""
     rows = []
     for a in grid:
         i3 = I3_minus(a).value
-        jm = J_minus(1.5, a).value * math.exp(-a) / 3.0
+        jm = J_minus(a).value * math.exp(-a) / 3.0
         rows.append(_row(f"I3_minus = e^{{-|a|}} J_minus/3 at a={a}",
                          abs(i3 - jm), i3, jm))
     return rows

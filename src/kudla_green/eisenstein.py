@@ -74,14 +74,14 @@ def coefficient_c0(c: CaseIndex, v: float) -> float:
 def coefficient_c0_prime(c: CaseIndex, v: float, kappa: float) -> float:
     """s-derivative coefficient c0'(gamma, m, 0, v).
 
-    m > 0:  C e^{-a/2} (J_plus(3/2, a) + kappa)   with kappa = C'/C supplied;
-    m < 0:  C e^{-|a|/2} J_minus(3/2, |a|)        (kappa plays no role).
+    m > 0:  C e^{-a/2} (J_plus(a) + kappa)   with kappa = C'/C supplied;
+    m < 0:  C e^{-|a|/2} J_minus(|a|)       (kappa plays no role).
     """
     if not (v > 0 and math.isfinite(v)):
         raise ValueError("v must be positive and finite")
     a = FOUR_PI * float(c.m) * v
     C = coefficient_C(c)
     if c.m > 0:
-        return C * _exp_neg_half(a) * (J_plus(1.5, a).value + kappa)
+        return C * _exp_neg_half(a) * (J_plus(a).value + kappa)
     a = abs(a)
-    return C * _exp_neg_half(a) * J_minus(1.5, a).value
+    return C * _exp_neg_half(a) * J_minus(a).value

@@ -13,7 +13,7 @@ discriminant.  The geometric vector attached to u is
 and all majorant values R are computed on x(u), from geometry's single psi:
 R(x(u), z) = |sum c_i(z) x_i(u)|^2 / (2 eta2).  With this scaling the
 stabilizer reduction gives R = 2m sinh^2 t on the positive-index orbit, the
-per-orbit integrals collapse onto J_plus(3/2, a)/J_minus(3/2, |a|) with
+per-orbit integrals collapse onto J_plus(a)/J_minus(|a|) with
 a = 4 pi m v, and no factors of 2 float around: the Green function is
 
     Xi(gamma, m, v, z) = sum_{u in L(gamma, m)} beta_1(2 pi v R(x(u), z)).

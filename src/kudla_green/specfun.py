@@ -1,10 +1,10 @@
 """Certified special-function evaluation.
 
-The integrals handled here are
+The integrals handled here, J_pm at the order 3/2 of Theorem 2, are
 
     beta_s(x)   = int_1^oo  e^{-x t} t^{-s} dt            (s >= 0, x > 0)
-    J_plus(s,a) = int_0^oo  e^{-a w} ((w+1)^s - 1) dw / w
-    J_minus(s,a)= int_0^oo  e^{-a w} w^s dw / (w+1)
+    J_plus(a)   = int_0^oo  e^{-a w} ((w+1)^{3/2} - 1) dw / w
+    J_minus(a)  = int_0^oo  e^{-a w} w^{3/2} dw / (w+1)
     I3_plus(a)  = int_0^oo int_1^oo e^{-a sinh^2(t) r} sinh t cosh^2 t dr/r dt
     I3_minus(a) = int_0^oo int_1^oo e^{-a cosh^2(t) r} sinh^2 t cosh t dr/r dt
 
@@ -292,43 +292,39 @@ def beta_s(s: float, x: float) -> QuadratureResult:
                       lambda T: min(1.0, 1.0 / x))
 
 
-def J_plus(s: float, a: float) -> QuadratureResult:
-    """J_plus(s, a) = int_0^oo e^{-a w} ((w+1)^s - 1) dw / w  for 0 < s <= 2.
+def J_plus(a: float) -> QuadratureResult:
+    """J_plus(a) = int_0^oo e^{-a w} ((w+1)^{3/2} - 1) dw / w.
 
-    The w -> 0 limit of the integrand is s (removable singularity),
-    evaluated stably through expm1(s log1p(w))/w.  Tail: for s <= 2 the
-    factor ((w+1)^s - 1)/w is at most s (w+1), so
-        int_T^oo <= s e^{-aT} ((T+1)/a + 1/a^2).
+    The w -> 0 limit of the integrand is 3/2 (removable singularity),
+    evaluated stably through expm1(1.5 log1p(w))/w.  Tail: the factor
+    ((w+1)^{3/2} - 1)/w is at most (3/2)(w+1), so
+        int_T^oo <= (3/2) e^{-aT} ((T+1)/a + 1/a^2).
     """
-    if not 0 < s <= 2:
-        raise ValueError("J_plus implemented for 0 < s <= 2")
     if not 0 < a < math.inf:
         raise ValueError("a must be positive and finite")
 
     def integrand(w: float) -> float:
         if w == 0.0:
-            return s
-        return math.exp(-a * w) * math.expm1(s * math.log1p(w)) / w
+            return 1.5
+        return math.exp(-a * w) * math.expm1(1.5 * math.log1p(w)) / w
 
     return _truncated(
         integrand, 0.0, _START_EFOLDS / a, 2.0,
-        lambda T: s * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a)),
+        lambda T: 1.5 * math.exp(-a * T) * ((T + 1.0) / a + 1.0 / (a * a)),
         lambda T: min(0.5, 0.5 / a))
 
 
-def J_minus(s: float, a: float) -> QuadratureResult:
-    """J_minus(s, a) = int_0^oo e^{-a w} w^s dw / (w+1)  for 0 < s <= 2.
+def J_minus(a: float) -> QuadratureResult:
+    """J_minus(a) = int_0^oo e^{-a w} w^{3/2} dw / (w+1).
 
-    0 < J_minus(s,a) < Gamma(s+1)/a^{s+1}.  Tail: for T >= 1 and s <= 2,
-    w^s/(w+1) <= w, so int_T^oo <= e^{-aT} (T/a + 1/a^2).
+    0 < J_minus(a) < Gamma(5/2)/a^{5/2}.  Tail: for T >= 1, w^{3/2}/(w+1)
+    <= w, so int_T^oo <= e^{-aT} (T/a + 1/a^2).
     """
-    if not 0 < s <= 2:
-        raise ValueError("J_minus implemented for 0 < s <= 2")
     if not 0 < a < math.inf:
         raise ValueError("a must be positive and finite")
 
     def integrand(w: float) -> float:
-        return math.exp(-a * w) * w ** s / (w + 1.0)
+        return math.exp(-a * w) * w ** 1.5 / (w + 1.0)
 
     return _truncated(integrand, 0.0, max(1.0, _START_EFOLDS / a), 2.0,
                       lambda T: math.exp(-a * T) * (T / a + 1.0 / (a * a)),
@@ -340,7 +336,7 @@ def I3_plus(a: float) -> QuadratureResult:
 
     With the inner integral int_1^oo e^{-cr} dr/r = beta_1(c) this is
         int_0^oo beta_1(a sinh^2 t) sinh t cosh^2 t dt,
-    and must reproduce (1/3) J_plus(3/2, a).  Tail for t >= T >= 1:
+    and must reproduce (1/3) J_plus(a).  Tail for t >= T >= 1:
     beta_1(y) <= e^{-y}/y gives int_T^oo <= e^{-a sinh^2 T}/(a^2 sinh T)
     (using cosh^2 = 1 + sinh^2 <= 2 sinh^2 there).
     """

@@ -260,7 +260,7 @@ def test_L2_series_rejects_bad_input():
 
 
 def _trigamma(x: float) -> float:
-    terms, _ = arith._trigamma_terms(np.array([x]))
+    terms = arith._trigamma_terms(np.array([x]))
     return math.fsum(terms[0])
 
 
@@ -282,6 +282,14 @@ def test_trigamma_reflection_and_recurrence():
 def test_L2_series_refuses_an_uncertifiable_tolerance():
     with pytest.raises(ToleranceError):
         L_chi_2_series(-4, 1e-30)
+
+
+def test_L2_series_blocks_keep_every_bit(monkeypatch):
+    # 1003 and 1001 residues make 16 blocks of 64, the last one partial;
+    # math.fsum is exact, so the blocking cannot move the result
+    want = {D0: L_chi_2_series(D0).hex() for D0 in (-1003, 1001)}
+    monkeypatch.setattr(arith, "_L2_BLOCK", 64)
+    assert {D0: L_chi_2_series(D0).hex() for D0 in want} == want
 
 
 # ---------------------------------------------------------------------------

@@ -461,9 +461,9 @@ _README_GREEN = ["green", "--z1", "0.1+1.1i", "--z2", "0.2+0.15i",
     (_README_GREEN + ["--m=-3/4", "--gamma", "1"],
      "648ed1f72b7f5f96d605441d0c594dc750530f832c38720a649136354624f14e"),
     (["verify"],
-     "1e0e9546c7900cdd5516199cdc3a502c1549266fdbebfee7aa648597b4687d1c"),
+     "d31a5c9e9292540846564a39466c1e78b314ebd4956c9b8d23bff6331698e654"),
     (["--format", "json", "verify"],
-     "7f50a887073a716517e601c581b2008bbac920f7d0cd484ae3353a2d58dbae6b"),
+     "5852f0f8046ae481a911cb3e8de040226567d796f291956f5394e7b6bd10464e"),
 ], ids=["coeff-gamma0", "coeff-gamma1", "green-m1", "green-m-minus-3-4",
         "verify-text", "verify-json"])
 def test_output_bytes_pinned(capsys, argv, digest):

@@ -85,7 +85,7 @@ def test_c0_sign_pattern():
 def test_c0_prime_positive_branch():
     c = split_discriminant(0, 1)
     v = 1.0 / FOUR_PI
-    want = -140.0 * math.exp(-0.5) * J_plus(1.5, 1.0).value
+    want = -140.0 * math.exp(-0.5) * J_plus(1.0).value
     assert coefficient_c0_prime(c, v, 0.0) == pytest.approx(want, rel=1e-9)
     # kappa enters affinely
     base = coefficient_c0_prime(c, v, 0.0)
@@ -99,7 +99,7 @@ def test_c0_prime_negative_branch_ignores_kappa():
     a = coefficient_c0_prime(c, v, 0.0)
     b = coefficient_c0_prime(c, v, 123.0)
     assert a == b
-    want = coefficient_C(c) * math.exp(-0.5) * J_minus(1.5, 1.0).value
+    want = coefficient_C(c) * math.exp(-0.5) * J_minus(1.0).value
     assert a == pytest.approx(want, rel=1e-9)
 
 

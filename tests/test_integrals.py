@@ -15,6 +15,7 @@ from kudla_green.integrals import (CASE_I_PREFACTOR, CASE_II_PREFACTOR,
                                    heegner_degree_via_cohen, ibk_integral,
                                    kudla_integral, theorem2_check)
 from kudla_green.specfun import ABS_TOL, EULER_GAMMA, FOUR_PI, J_minus, J_plus
+from kudla_green.volumes import B
 
 C1 = split_discriminant(0, 1)
 # the constant * of the corollary
@@ -44,13 +45,13 @@ def test_rel_diff_of_two_zeros_is_nan():
 
 # (gamma, m, a) -> lhs, rhs and kudla_integral at v = a / (4 pi |m|), .hex()
 _IDENTITY_BITS = [
-    ((0, Fraction(1), 1.0), ("0x1.f9a2e6befd780p+7", "0x1.f9a2e6befd780p+7",
+    ((0, Fraction(1), 1.0), ("0x1.f9a2e6bf01c27p+7", "0x1.f9a2e6befd780p+7",
                              "0x1.679049105c460p-5")),
-    ((0, Fraction(-1), 2.0), ("0x1.66c63fe1abdbfp+0", "0x1.66c63fe1adadbp+0",
+    ((0, Fraction(-1), 2.0), ("0x1.66c63fe1aee76p+0", "0x1.66c63fe1adadbp+0",
                               "0x1.fe41c6f153c63p-13")),
-    ((1, Fraction(5, 4), 0.37), ("0x1.1c5554dd2f99ep+9", "0x1.1c5554dd31c10p+9",
+    ((1, Fraction(5, 4), 0.37), ("0x1.1c5554dd32039p+9", "0x1.1c5554dd31c10p+9",
                                  "0x1.94629ad430602p-4")),
-    ((1, Fraction(-3, 4), 3.3), ("0x1.2fe704df5e7d7p-4", "0x1.2fe704df5c770p-4",
+    ((1, Fraction(-3, 4), 3.3), ("0x1.2fe704df6111ap-4", "0x1.2fe704df5c770p-4",
                                  "0x1.b0377e65845d6p-17")),
 ]
 
@@ -108,7 +109,7 @@ def test_v_must_be_positive_and_finite(v):
 def test_kudla_integral_m1_closed_form():
     # single layer would give J_plus/48; the content-2 layer lifts it to 7/288
     v = 1.0 / FOUR_PI
-    want = 7.0 * J_plus(1.5, 1.0).value / 288.0
+    want = 7.0 * J_plus(1.0).value / 288.0
     assert kudla_integral(C1, v) == pytest.approx(want, rel=1e-9)
 
 
@@ -136,9 +137,11 @@ def test_frozen_normalization_second_call_is_cache_hit():
 
 def test_assembled_volume_sum_matches_divisor_sum():
     # sum over layers of the exact Siegel covolume equals
-    # (1/6) |L(-1, chi)| f^3 sigma: the layer sum re-creates the divisor sum
+    # (1/6) |L(-1, chi)| f^3 sigma: the layer sum re-creates the divisor sum,
+    # and six times it is -H(2, 4m), so the constant of Theorem 2 is exact
     from kudla_green.arith import (bernoulli_L_minus1, euler_factor,
                                    sigma_gamma_m)
+    from kudla_green.eisenstein import cohen_H
     from kudla_green.lattice import primitive_decomposition
     from kudla_green.volumes import vol_sie
 
@@ -147,15 +150,39 @@ def test_assembled_volume_sum_matches_divisor_sum():
         return (Fraction(1, 12) * (-2) * bernoulli_L_minus1(cn.D0)
                 * cn.f ** 3 * euler_factor(cn.D0, cn.f))
 
-    for m in (1, 2, 4, 5, 9, 12):
-        c = split_discriminant(0, m)
+    cases = [split_discriminant(0, m) for m in range(1, 301)]
+    cases += [split_discriminant(1, Fraction(n, 4)) for n in range(1, 1200, 4)]
+    for c in cases:
         layers = [cn for _, cn in primitive_decomposition(c)]
         for cn in layers:
             assert vol_sie(cn) == float(exact_d22(cn)) * math.pi ** 2, cn
         total = sum(exact_d22(cn) for cn in layers)
         want = Fraction(1, 6) * abs(bernoulli_L_minus1(c.D0)) \
             * c.f ** 3 * sigma_gamma_m(c)
-        assert total == want, m
+        assert total == want, c
+        assert 6 * total == -cohen_H(c), c
+
+
+def test_theorem2_constant_is_exact_in_floats():
+    # (4/|B|) pref sum_n vol_sie(m/n^2) / 3 = |C| at both signs.  Both sides
+    # divide by the same float pi^2 (in pref and in C), and for D0 > 0 the
+    # one in vol_sie and L_chi_2 is that float too, so it cancels; what is
+    # left are roundings of at most 2^-53 relative each (pow nearly so):
+    #   rhs, coefficient_C: 5 (float(-960 sigma), |m|^1.5, three products),
+    #     plus 4 in L_chi_2 when D0 > 0 (float(L(-1)), D0^1.5, *, /);
+    #   lhs: 4/B 2, pref 1, the three products 3, each vol_sie 2 (D0 > 0)
+    #     or 7 (D0 < 0, L2 shared with C), and k - 1 adds over k layers;
+    # k <= 8 here (k <= 6 when D0 < 0), so 9 + 15 = 24 or 5 + 18 = 23.
+    from kudla_green.lattice import primitive_decomposition
+    from kudla_green.volumes import vol_sie
+
+    for n4 in [n for n in range(-1200, 1201) if n and n % 4 in (0, 1)]:
+        c = split_discriminant(0 if n4 % 4 == 0 else 1, Fraction(n4, 4))
+        pref = CASE_I_PREFACTOR if n4 > 0 else CASE_II_PREFACTOR
+        vols = sum(vol_sie(cn) for _, cn in primitive_decomposition(c))
+        lhs = 4.0 / float(B) * pref * vols / 3.0
+        rhs = abs(coefficient_C(c))
+        assert abs(lhs - rhs) <= 24 * math.ulp(rhs), n4
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, -1, -2])
@@ -168,7 +195,7 @@ def test_theorem2_grid(m, a):
     assert rep.lhs > 0 and rep.rhs > 0
     # the report holds magnitudes; the signed sides are I > 0 and C J with
     # C < 0 and J > 0, coherent with the analytic (negative) sign of B
-    J = J_plus(1.5, a) if m > 0 else J_minus(1.5, a)
+    J = J_plus(a) if m > 0 else J_minus(a)
     assert kudla_integral(c, v) > 0
     assert coefficient_C(c) < 0
     assert J.value > 0
@@ -257,20 +284,16 @@ _COROLLARY_INDICES = [(0, 1), (0, 2), (0, 5), (0, 6), (1, Fraction(5, 4)),
 @pytest.mark.parametrize("gamma, m", _COROLLARY_INDICES,
                          ids=[str(m) for _, m in _COROLLARY_INDICES])
 def test_corollary_residual_within_quadrature_contract(gamma, m):
-    # rhs - lhs = e^{-sa/2} |C| (J - 3 F I3), s the sign of m, with
-    # J = J_plus(3/2, a) for m > 0 and e^{-a} J_minus(3/2, a) for m < 0 and
-    # F = J_plus(3/2, 1) / 3 I3_plus(1) the frozen constant.  Each J and I3
-    # is within ABS_TOL, so |J - 3 F I3| <= 4 ABS_TOL (1 + J / J_plus(3/2, 1)).
+    # lhs - rhs = C e^{-sa/2} (J - 3 I3) up to rounding, s the sign of m,
+    # with J = J_plus(a) for m > 0 and e^{-a} J_minus(a) for m < 0, as the
+    # constant is exact.  J and I3 are each within ABS_TOL, so
+    # |J - 3 I3| <= 4 ABS_TOL.
     c = split_discriminant(gamma, m)
     scale = abs(coefficient_C(c))
-    J1 = J_plus(1.5, 1.0).value
     for a in (0.3, 1.0, 2.0, 5.0):
         v = a / (FOUR_PI * abs(float(m)))
-        if m > 0:
-            J, sa = J_plus(1.5, a).value, a
-        else:
-            J, sa = J_minus(1.5, a).value * math.exp(-a), -a
-        bound = 4 * ABS_TOL * scale * math.exp(-sa / 2) * (1 + J / J1)
+        sa = a if m > 0 else -a
+        bound = 4 * ABS_TOL * scale * math.exp(-sa / 2)
         lhs_T2 = theorem2_check(c, v).lhs
         for kappa in (-0.5, 0.0, 0.7):
             rep = corollary_check(c, v, kappa)

@@ -178,12 +178,6 @@ def test_exp_e1_series_crossover_is_smooth():
 # J_plus / J_minus
 # ---------------------------------------------------------------------------
 
-def test_J_plus_s1_collapses():
-    # ((w+1) - 1)/w = 1, so the integral is exactly 1/a
-    assert abs(J_plus(1.0, 1.0).value - 1.0) <= 1e-11
-    assert abs(J_plus(1.0, 2.0).value - 0.5) <= 1e-11
-
-
 def _J_plus_large_a_oracle(s: float, a: float, terms: int = 8):
     """Asymptotic series sum_k binom(s, k+1) k! / a^{k+1}; returns (value, bound)."""
     total = 0.0
@@ -202,44 +196,53 @@ def _J_plus_large_a_oracle(s: float, a: float, terms: int = 8):
 def test_J_plus_matches_large_a_series():
     for a in (10.0, 20.0, 40.0):
         oracle, bound = _J_plus_large_a_oracle(1.5, a)
-        val = J_plus(1.5, a).value
+        val = J_plus(a).value
         assert val > 0
         assert abs(val - oracle) <= 2.0 * bound + 1e-10
 
 
 def test_J_plus_monotone_decreasing_in_a():
-    vals = [J_plus(1.5, a).value for a in (0.5, 1.0, 2.0, 5.0, 10.0)]
+    vals = [J_plus(a).value for a in (0.5, 1.0, 2.0, 5.0, 10.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
-def test_J_minus_identity_at_s1():
-    # w/(w+1) = 1 - 1/(w+1) gives J_minus(1, 1) = 1 - e * E1(1)
-    want = 1.0 - math.e * e1_series_reference(1.0)
-    assert abs(J_minus(1.0, 1.0).value - want) <= 1e-11
+def _upper_gamma_minus_3_2(a: float) -> float:
+    """Gamma(-3/2, a) from Gamma(1/2, a) = sqrt(pi) erfc(sqrt a) and two
+    steps of Gamma(s, a) = (Gamma(s+1, a) - a^s e^{-a}) / s."""
+    g = math.sqrt(math.pi) * math.erfc(math.sqrt(a))
+    for s in (-0.5, -1.5):
+        g = (g - a ** s * math.exp(-a)) / s
+    return g
+
+
+def test_J_minus_matches_incomplete_gamma():
+    # int_0^oo e^{-aw} w^{3/2} / (w+1) dw = Gamma(5/2) e^a Gamma(-3/2, a)
+    for a in (0.01, 0.1, 0.5, 1.0, 2.0):
+        want = math.gamma(2.5) * math.exp(a) * _upper_gamma_minus_3_2(a)
+        assert abs(J_minus(a).value - want) <= ABS_TOL, a
 
 
 def test_J_minus_gamma_bound():
     g52 = math.gamma(2.5)
     for a in (0.5, 1.0, 2.0, 5.0):
-        assert 0.0 < J_minus(1.5, a).value < g52 / a ** 2.5
+        assert 0.0 < J_minus(a).value < g52 / a ** 2.5
 
 
 def test_J_minus_watson_limit():
-    # a^{5/2} J_minus(3/2, a) = Gamma(5/2)(1 - Gamma(7/2)/(Gamma(5/2) a) + ...)
+    # a^{5/2} J_minus(a) = Gamma(5/2)(1 - Gamma(7/2)/(Gamma(5/2) a) + ...)
     a = 1000.0
     lead = math.gamma(2.5) * (1.0 - math.gamma(3.5) / (math.gamma(2.5) * a)
                               + math.gamma(4.5) / (math.gamma(2.5) * a * a))
-    val = a ** 2.5 * J_minus(1.5, a).value
+    val = a ** 2.5 * J_minus(a).value
     assert abs(val / lead - 1.0) < 1e-6
 
 
 def test_J_monotone_in_second_argument_everywhere():
-    for s in (1.0, 1.5):
-        vp = [J_plus(s, a).value for a in (0.25, 0.7, 1.3, 3.0)]
-        vm = [J_minus(s, a).value for a in (0.25, 0.7, 1.3, 3.0)]
-        bs = [beta_s(s, a).value for a in (0.25, 0.7, 1.3, 3.0)]
-        for seq in (vp, vm, bs):
-            assert all(x > y for x, y in zip(seq, seq[1:]))
+    grid = (0.25, 0.7, 1.3, 3.0)
+    seqs = [[J_plus(a).value for a in grid], [J_minus(a).value for a in grid]]
+    seqs += [[beta_s(s, a).value for a in grid] for s in (1.0, 1.5)]
+    for seq in seqs:
+        assert all(x > y for x, y in zip(seq, seq[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def test_I3_plus_reduces_to_J_plus():
     # both sides carry err <= abs_tol, so the gap is below 2 abs_tol
     for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         got = I3_plus(a)
-        want = J_plus(1.5, a)
+        want = J_plus(a)
         assert got.err_estimate <= ABS_TOL
         assert want.err_estimate <= ABS_TOL
         assert abs(got.value - want.value / 3.0) <= 2.0 * ABS_TOL
@@ -273,7 +276,7 @@ def test_I3_minus_positive_and_decaying():
 def test_I3_minus_prefactor_resolution():
     # at a = 1 the quadrature picks e^{-|a|} over e^{+|a|}
     i3 = I3_minus(1.0).value
-    jm = J_minus(1.5, 1.0).value / 3.0
+    jm = J_minus(1.0).value / 3.0
     assert abs(i3 - jm * math.exp(-1.0)) < 1e-10
     assert abs(i3 - jm * math.exp(1.0)) > 1e-2
 
@@ -288,8 +291,8 @@ def test_I3_argument_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda b: beta_s(1.0, b),
-    lambda b: J_plus(1.5, b),
-    lambda b: J_minus(1.5, b),
+    J_plus,
+    J_minus,
     I3_plus,
     I3_minus,
     lambda b: I3_plus(FOUR_PI * (1.0 * b)),
@@ -307,8 +310,7 @@ def test_non_finite_argument_is_refused(call, bad):
 
 
 def test_nan_order_and_nan_error_are_refused():
-    for fn in (beta_s, J_plus, J_minus):
-        with pytest.raises(ValueError):
-            fn(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        beta_s(math.nan, 1.0)
     with pytest.raises(ValueError):
         QuadratureResult(value=1.0, err_estimate=math.nan, evaluations=15)
