@@ -18,14 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (CaseIndex, L_chi_2_series, sigma_gamma_m,
-                    split_discriminant, xi_twisted)
+from .arith import (CaseIndex, L_chi_2_series, bernoulli_L_minus1,
+                    sigma_gamma_m, split_discriminant, xi_twisted)
 from .eisenstein import cohen_H
 from .geometry import GRAM_Q, GRAM_Q_INV, SiegelPoint, majorant_gram
 from .integrals import (TheoremReport, corollary_check, heegner_degree,
                         heegner_degree_via_cohen, theorem2_check)
 from .specfun import FOUR_PI, I3_minus, I3_plus, J_minus, J_plus
-from .volumes import V22, hirzebruch_vol, humbert_V13, zeta_K_minus1
+from .volumes import vol_sie
 
 
 def _worst(items: Iterable[tuple[float, str]]) -> tuple[float, str]:
@@ -39,13 +39,12 @@ def _worst(items: Iterable[tuple[float, str]]) -> tuple[float, str]:
     return top, at
 
 
-def worst_diff(rows: list[dict]) -> float:
-    """The largest diff over rows, NaN if any row's diff is NaN."""
-    return _worst((row["diff"], row["label"]) for row in rows)[0]
-
-
 def _row(label: str, diff: float, lhs: float = 0.0, rhs: float = 0.0) -> dict:
     return {"label": label, "lhs": lhs, "rhs": rhs, "diff": diff}
+
+
+def _rel_row(label: str, lhs: float, rhs: float) -> dict:
+    return _row(label, abs(lhs - rhs) / abs(rhs), lhs, rhs)
 
 
 def _exact_row(label: str, value: Fraction, target: Fraction) -> dict:
@@ -154,23 +153,23 @@ def siegel_condition(points: list[SiegelPoint]) -> list[dict]:
 
 
 def volume_spot_values() -> list[dict]:
-    """V_{1,3}(-4) = G/3, Hirzebruch (5, 1) = 1/15, V_{2,2}(5) via L(2, chi_5),
-    with G = L(2, chi_{-4}) and L(2, chi_5) from the oracle."""
+    """vol_sie against V_{1,3}(-4) = G/3, Hirzebruch's 1/15 for Q(sqrt 5)
+    times pi^2, and V_{2,2}(5) = 4 vol_sie = 5^{3/2} L(2, chi_5) / 3, with
+    G = L(2, chi_{-4}) and L(2, chi_5) from the oracle; relative diffs."""
     catalan = L_chi_2_series(-4)
-    v13 = humbert_V13(-4)
-    v22 = V22(5)
+    v13 = vol_sie(split_discriminant(0, -1))
+    v5 = vol_sie(split_discriminant(1, Fraction(5, 4)))
     via_L = 5.0 ** 1.5 * L_chi_2_series(5) / 3.0
-    return [_row("V_{1,3}(-4) = Catalan/3",
-                 abs(v13 - catalan / 3.0) / (catalan / 3.0), v13, catalan / 3.0),
-            _exact_row("Hirzebruch volume (5, f=1) = 1/15 exactly",
-                       hirzebruch_vol(5, 1), Fraction(1, 15)),
-            _row("V_{2,2}(5) dual routes", abs(v22 - via_L) / abs(via_L), v22, via_L)]
+    return [_rel_row("V_{1,3}(-4) = Catalan/3", v13, catalan / 3.0),
+            _rel_row("Hirzebruch volume (5, f=1) = 1/15 exactly",
+                     v5 / math.pi ** 2, 1 / 15),
+            _rel_row("V_{2,2}(5) dual routes", 4.0 * v5, via_L)]
 
 
 def zeta_functional_equation(dKs: Iterable[int]) -> list[dict]:
     """zeta_K(-1) exact against zeta(2) L(2, chi_dK) d^{3/2} / (4 pi^4)."""
     def resid(dK: int) -> tuple[float, str]:
-        exact = float(zeta_K_minus1(dK))
+        exact = float(Fraction(-1, 12) * bernoulli_L_minus1(dK))
         zk2 = math.pi ** 2 / 6.0 * L_chi_2_series(dK)
         return abs(exact - zk2 * dK ** 1.5 / (4.0 * math.pi ** 4)), f"dK={dK}"
 

@@ -10,8 +10,9 @@ Three subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error (including an index that does not match its gamma or has |4m| above
-10**9, a ``--tol`` that is NaN, not positive for ``green`` or negative for
-``verify``, and an ``--output`` path that cannot be written),
+10**9, a ``coeff`` range of more than 100,000 indices, a ``--tol`` that is
+NaN, not positive for ``green`` or negative for ``verify``, and an
+``--output`` path that cannot be written),
 3 domain error (point outside the half-space or with a non-finite
 coordinate, v or radius not positive and finite, v or 2 pi v radius below
 the smallest normal float, a point so far out that the majorant Gram
@@ -51,6 +52,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_SINGULAR = 4
+
+# most indices m_to - m_from + 1 of one coeff range; the table is built whole
+# before printing: 100,000 gamma=0 rows, 115 s CPU and 173 MB on 2 vCPU
+_MAX_COEFF_RANGE = 100_000
 
 
 @dataclass
@@ -126,6 +131,9 @@ def _render(cfg: RunConfig, inputs: dict, key: str, rows: list[dict],
 # ---------------------------------------------------------------------------
 
 def _coeff_indices(cfg: RunConfig) -> list[CaseIndex]:
+    if cfg.m_to - cfg.m_from + 1 > _MAX_COEFF_RANGE:
+        raise ValueError(f"coeff range holds {cfg.m_to - cfg.m_from + 1} "
+                         f"indices, more than {_MAX_COEFF_RANGE}")
     if cfg.gamma == 0:
         if cfg.m_from < 1:
             raise ValueError("gamma=0 table requires m >= 1")

@@ -5,8 +5,7 @@ The ambient quadratic space is V = Q^5 with the signature (3,2) form
     q(x) = x3^2 - x1 x5 - x2 x4,        (x, x) = 2 q(x),
 
 whose Gram matrix (of the bilinear form) is the constant `GRAM_Q`.  A
-vector x in V is any sequence of five coordinates (ints, Fractions or
-floats): psi and R read them as floats, `humbert_discriminant` exactly.
+vector x in V is any sequence of five coordinates, read as floats.
 Points z = (z1, z2, z3) of the genus-2 half-space (y1 > 0, y1 y3 - y2^2 > 0)
 parametrize oriented negative 2-planes X_z = <Re u(z), Im u(z)> through the
 isotropic embedding
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,10 +35,7 @@ __all__ = [
     "GRAM_Q",
     "GRAM_Q_INV",
     "embed_u",
-    "psi",
-    "majorant_R",
     "majorant_gram",
-    "humbert_discriminant",
 ]
 
 GRAM_Q = np.array([
@@ -100,7 +95,7 @@ def _psi_coeffs(z: SiegelPoint) -> tuple[complex, ...]:
     """c(z) = (u5, u4, -2 u3, u2, u1) with u = u(z), so psi(z, x) = sum c_i x_i
     = -(x, u(z)).
 
-    The one statement of psi: psi, R and the majorant Gram matrix all read it.
+    The one statement of psi: R and the majorant Gram matrix both read it.
     """
     u1, u2, u3, u4, u5 = embed_u(z)
     return (u5, u4, 2.0 * -u3, u2, u1)  # -u3 = z2 exactly, signed zeros too
@@ -123,17 +118,6 @@ def _majorant_R_at(c: tuple[complex, ...], two_eta2: float, x) -> float:
     return (p.real * p.real + p.imag * p.imag) / two_eta2
 
 
-def psi(z: SiegelPoint, x) -> complex:
-    """psi(z, x) = sum c_i(z) x_i, linear in x; zero exactly on Z(x)."""
-    return _psi_dot(_psi_coeffs(z), [float(t) for t in x])
-
-
-def majorant_R(z: SiegelPoint, x) -> float:
-    """R(x, z) = |psi(z, x)|^2 / (2 eta2) >= 0, zero exactly on Z(x)."""
-    return _majorant_R_at(_psi_coeffs(z), 2.0 * z.eta2,
-                          [float(t) for t in x])
-
-
 def majorant_gram(z: SiegelPoint) -> np.ndarray:
     """Gram matrix P_z of the majorant x -> (x, x) + 2 R(x, z).
 
@@ -151,9 +135,3 @@ def majorant_gram(z: SiegelPoint) -> np.ndarray:
         raise ValueError("majorant Gram matrix not positive definite")
     return P
 
-
-def humbert_discriminant(x) -> Fraction:
-    """Discriminant 4 q(x) = (2 x3)^2 - 4 x1 x5 - 4 x2 x4 of the surface Z(x),
-    in exact Fractions: the one exact statement of q."""
-    x1, x2, x3, x4, x5 = map(Fraction, x)
-    return (2 * x3) ** 2 - 4 * x1 * x5 - 4 * x2 * x4

@@ -57,7 +57,6 @@ __all__ = [
     "SingularPointError",
     "EnumerationCapError",
     "SINGULAR_R_THRESHOLD",
-    "orbit_representative",
     "majorant_value",
     "enumerate_bounded",
     "green_function",
@@ -122,22 +121,6 @@ class GreenEvaluation:
     def __post_init__(self):
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
-
-
-def orbit_representative(c: CaseIndex) -> tuple[int, ...]:
-    """Standard representative of the primitive orbit for (gamma, m).
-
-    gamma = 0:  (1, 0, 0, 0, -m);  gamma = 1 with m = M + 1/4:
-    (0, 1, 1, -M, 0).  Both have qhat = 4m and are primitive.
-    """
-    if c.gamma == 0:
-        rep = (1, 0, 0, 0, -int(c.m))
-    else:
-        M = int(c.m - Fraction(1, 4))
-        rep = (0, 1, 1, -M, 0)
-    u = np.array(rep, dtype=object)  # exact Python-int products
-    assert u @ _QHAT.astype(object) @ u == 4 * c.m and math.gcd(*rep) == 1
-    return rep
 
 
 # ---------------------------------------------------------------------------

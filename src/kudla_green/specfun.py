@@ -2,7 +2,6 @@
 
 The integrals handled here, J_pm at the order 3/2 of Theorem 2, are
 
-    beta_s(x)   = int_1^oo  e^{-x t} t^{-s} dt            (s >= 0, x > 0)
     J_plus(a)   = int_0^oo  e^{-a w} ((w+1)^{3/2} - 1) dw / w
     J_minus(a)  = int_0^oo  e^{-a w} w^{3/2} dw / (w+1)
     I3_plus(a)  = int_0^oo int_1^oo e^{-a sinh^2(t) r} sinh t cosh^2 t dr/r dt
@@ -16,15 +15,15 @@ dominates both discretization and truncation error.
 The double integrals are reduced to single integrals through the closed
 form int_1^oo e^{-c r} dr / r = E1(c) = beta_1(c); the inner E1 values use
 the fast series / continued-fraction evaluator `exp_e1`, which is itself
-cross-checked against the quadrature route and the classical power series
-in the tests.
+cross-checked against the quadrature route to beta_1 and the classical
+power series, both kept in the tests.
 
 The truncation policy has one home, `_truncated`.  Each integral gives it a
 start window T0 at c = _START_EFOLDS (46) e-folding lengths of its decay
-(1 + c/x for beta_s, c/a for J_pm, asinh(sqrt(c/a)) for I3_pm), a growth
-factor (x2, or x1.5 for I3_pm) and its analytic tail bound; the window grows
-until that bound is at most half the tolerance, so the constant only sets
-where the search starts.
+(c/a for J_pm, asinh(sqrt(c/a)) for I3_pm), a growth factor (x2, or x1.5
+for I3_pm) and its analytic tail bound; the window grows until that bound
+is at most half the tolerance, so the constant only sets where the search
+starts.
 
 Every integral here runs under one numerical contract: the absolute
 tolerance ABS_TOL = 1e-10 on the returned value (tail bound included) and a
@@ -44,7 +43,6 @@ __all__ = [
     "EULER_GAMMA",
     "adaptive_quadrature",
     "exp_e1",
-    "beta_s",
     "J_plus",
     "J_minus",
     "I3_plus",
@@ -252,7 +250,7 @@ def exp_e1(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The five integrals (I3_pm: inner r-integral in closed form, beta_1)
+# The four integrals (I3_pm: inner r-integral in closed form, beta_1)
 # ---------------------------------------------------------------------------
 
 def _truncated(f, lo: float, T: float, grow: float, tail_at,
@@ -272,24 +270,6 @@ def _truncated(f, lo: float, T: float, grow: float, tail_at,
         seeds.append(lo + step)
         step *= 2.0
     return adaptive_quadrature(f, lo, T, tail_bound=tail, seeds=seeds)
-
-
-def beta_s(s: float, x: float) -> QuadratureResult:
-    """beta_s(x) = int_1^oo e^{-x t} t^{-s} dt; beta_1 is the exponential integral E1.
-
-    Tail: for T >= 1 and s >= 0, int_T^oo e^{-xt} t^{-s} dt <= e^{-xT}/x.
-    """
-    if not s >= 0:
-        raise ValueError("s must be >= 0")
-    if not 0 < x < math.inf:
-        raise ValueError("x must be positive and finite")
-
-    def integrand(t: float) -> float:
-        return math.exp(-x * t) * t ** (-s)
-
-    return _truncated(integrand, 1.0, 1.0 + _START_EFOLDS / x, 2.0,
-                      lambda T: math.exp(-x * T) / x,
-                      lambda T: min(1.0, 1.0 / x))
 
 
 def J_plus(a: float) -> QuadratureResult:

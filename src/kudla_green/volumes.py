@@ -1,15 +1,19 @@
-"""Closed-form covolumes of the stabilizer groups, as plain numbers.
+"""Closed-form covolumes of the stabilizer groups, in one normalization.
 
-Each function states its own normalization.  Three occur:
+`vol_sie(c)` is the covolume the Green-function integrals read, in the
+Siegel normalization: one quarter of the product of two half-planes,
+dv = dx1 dy1 dx2 dy2/(y1 y2)^2, on the (2,2) domain (m > 0), and the
+hyperbolic 3-space one, dv = dx dy dr / r^3, on the (3,1) domain (m < 0).
+The classical covolumes are fixed multiples of it, which the three
+`volume-spot-values` rows of `verify` check at literature values:
 
-* hyperbolic 3-space with dv = dx dy dr / r^3 (`humbert_V13`);
-* the product of two half-planes with dv = dx1 dy1 dx2 dy2/(y1 y2)^2
-  (`V22`), or with the (2 pi y1 y2)^{-2} normalization of the
-  Hirzebruch-van der Geer tables (`hirzebruch_vol`, exact); the two
-  differ by the factor (2 pi)^2, asserted in the tests;
-* the Siegel normalization entering the Green-function integrals
-  (`vol_sie`): one quarter of the half-plane product on the (2,2) domain,
-  equal to the hyperbolic 3-space one on the (3,1) domain.
+* m < 0, f = 1: vol_sie is Humbert's V_{1,3} = |dK|^{3/2} L(2, chi) / 24,
+  G/3 at dK = -4 (G is Catalan's constant);
+* m > 0: vol_sie / pi^2 is the exact Hilbert modular covolume
+  2 f^3 prod_{p|f}(1 - chi(p)/p^2) zeta_K(-1) at level f, in the
+  (2 pi y1 y2)^{-2} normalization of Hirzebruch-van der Geer: 1/15 for
+  Q(sqrt 5) at f = 1;
+* m > 0, f = 1: 4 vol_sie is V_{2,2} = |dK|^{3/2} L(2, chi) / 3.
 """
 
 from __future__ import annotations
@@ -17,56 +21,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import (CaseIndex, L_chi_2, bernoulli_L_minus1, euler_factor,
-                    is_fundamental_discriminant)
+from .arith import CaseIndex, L_chi_2, bernoulli_L_minus1, euler_factor
 
-__all__ = [
-    "ZETA_MINUS1",
-    "B",
-    "zeta_K_minus1",
-    "humbert_V13",
-    "hirzebruch_vol",
-    "V22",
-    "vol_sie",
-]
-
-ZETA_MINUS1 = Fraction(-1, 12)
+__all__ = ["B", "vol_sie"]
 
 # |zeta(-1) zeta(-3)| = (1/12)(1/120).  The analytic product is negative; the
 # degree and integral formulas consume this positive magnitude, with the sign
 # audited separately wherever it matters.
 B = Fraction(1, 1440)
-
-
-def zeta_K_minus1(dK: int) -> Fraction:
-    """zeta_K(-1) = zeta(-1) L(-1, chi_{dK}) for the quadratic field of
-    discriminant dK > 1 (exact)."""
-    if dK <= 1 or not is_fundamental_discriminant(dK):
-        raise ValueError(f"dK = {dK} is not a real quadratic field discriminant")
-    return ZETA_MINUS1 * bernoulli_L_minus1(dK)
-
-
-def humbert_V13(dK: int) -> float:
-    """Covolume |dK|^{3/2} L(2, chi_{dK}) / 24 of the imaginary-quadratic
-    modular group on hyperbolic 3-space, dv = dx dy dr / r^3 (dK < 0
-    fundamental)."""
-    if dK >= 0 or not is_fundamental_discriminant(dK):
-        raise ValueError(f"dK = {dK} is not an imaginary quadratic discriminant")
-    return abs(dK) ** 1.5 * L_chi_2(dK) / 24.0
-
-
-def hirzebruch_vol(dK: int, f: int) -> Fraction:
-    """Covolume of the level-f Hilbert modular group in the (2 pi y1 y2)^{-2}
-    normalization: 2 f^3 prod_{p|f}(1 - chi(p)/p^2) zeta_K(-1), exact."""
-    if f < 1:
-        raise ValueError("f must be >= 1")
-    return 2 * f ** 3 * euler_factor(dK, f) * zeta_K_minus1(dK)
-
-
-def V22(dK: int) -> float:
-    """Full-level Hilbert modular covolume |dK|^{3/2} L(2, chi)/3 with
-    dv = dx1 dy1 dx2 dy2/(y1 y2)^2; computed as 8 pi^2 zeta_K(-1)."""
-    return float(8 * zeta_K_minus1(dK)) * math.pi ** 2
 
 
 def vol_sie(c: CaseIndex) -> float:

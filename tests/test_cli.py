@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kudla_green import arith, cli, integrals, lattice
+from kudla_green import arith, checks, cli, integrals, lattice
 from kudla_green.arith import L_chi_2_series
 from kudla_green.cli import main
 
@@ -225,6 +225,23 @@ def test_index_past_the_limit_exit_2(capsys, monkeypatch, argv):
     assert err == "error: |4m| must be at most 100\n"
 
 
+@pytest.mark.parametrize("gamma,rows", [("0", 8), ("1", 2)])
+def test_coeff_range_past_the_cap_exit_2(capsys, monkeypatch, gamma, rows):
+    # the real cap of 100000 indices bounds the table built before printing;
+    # a range past it is refused before any index is split
+    monkeypatch.setattr(cli, "_MAX_COEFF_RANGE", 8)
+    argv = ("coeff", "--gamma", gamma, "--m-from", "1", "--m-to")
+    code, out = run_cli(capsys, *argv, "8")
+    assert code == 0 and len(out.splitlines()) == 1 + rows
+
+    def refuse(*args):
+        raise AssertionError("an index was built")
+    monkeypatch.setattr(cli, "split_discriminant", refuse)
+    code, err = run_cli_error(capsys, *argv, "9")
+    assert code == 2
+    assert err == "error: coeff range holds 9 indices, more than 8\n"
+
+
 def test_green_singular_point_exit_4(capsys):
     code, err = run_cli_error(capsys, "green", "--z1", "1i", "--z2", "0i",
                               "--z3", "1i", "--m", "1", "--gamma", "0",
@@ -326,6 +343,34 @@ def test_verify_V22_row_compares_against_the_series(capsys, monkeypatch):
               for line in out.splitlines()[1:-1]}
     assert status["V_{1,3}(-4) = Catalan/3"] == "FAIL"
     assert status["V_{2,2}(5) dual routes"] == "FAIL"
+
+
+def _volume_rows(capsys):
+    code, out = run_cli(capsys, "verify", "--only", "volume-spot-values")
+    return code, {row[1]: row for row in
+                  (line.split("\t") for line in out.splitlines()[1:-1])}
+
+
+def test_verify_volume_rows_read_vol_sie(capsys, monkeypatch):
+    # each row compares vol_sie itself with a literature value, so a
+    # covolume off by 1e-5 fails all three at the default --tol
+    vol_sie = checks.vol_sie
+    monkeypatch.setattr("kudla_green.checks.vol_sie",
+                        lambda c: (1 + 1e-5) * vol_sie(c))
+    code, rows = _volume_rows(capsys)
+    assert code == 1
+    assert [row[-1] for row in rows.values()] == ["FAIL"] * 3
+
+
+def test_verify_hirzebruch_row_sees_one_ulp(capsys, monkeypatch):
+    # vol_sie / pi^2 is Hirzebruch's 1/15 bit for bit, so a covolume one
+    # ulp off moves the row's diff off zero
+    label = "Hirzebruch volume (5, f=1) = 1/15 exactly"
+    assert float(_volume_rows(capsys)[1][label][4]) == 0.0
+    vol_sie = checks.vol_sie
+    monkeypatch.setattr("kudla_green.checks.vol_sie",
+                        lambda c: (1 + 2 ** -52) * vol_sie(c))
+    assert float(_volume_rows(capsys)[1][label][4]) > 0.0
 
 
 def test_verify_volume_rows_pass_at_tight_tolerance(capsys):

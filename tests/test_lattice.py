@@ -9,17 +9,16 @@ import pytest
 
 from kudla_green import lattice
 from kudla_green.arith import CaseIndex, split_discriminant
-from kudla_green.geometry import (SiegelPoint, humbert_discriminant,
-                                  majorant_R, majorant_gram)
+from kudla_green.geometry import SiegelPoint, majorant_gram
 from kudla_green.lattice import (_QHAT, EnumerationCapError,
                                  SingularPointError, _enumerate_core,
                                  _lll_transform, _shell_roots,
                                  enumerate_bounded, green_function,
-                                 majorant_value, orbit_representative,
-                                 primitive_decomposition)
+                                 majorant_value, primitive_decomposition)
 from kudla_green.specfun import ABS_TOL, exp_e1
 
-from e1_oracle import e1_series_reference
+from oracles import (e1_series_reference, humbert_discriminant, majorant_R,
+                     orbit_representative)
 
 Z0 = SiegelPoint(1j, 0j, 1j)
 Z_GENERIC = SiegelPoint(0.1 + 1.1j, 0.2 + 0.15j, -0.3 + 1.3j)

@@ -69,28 +69,11 @@ def test_every_exported_constant_is_read():
     assert not unread, f"exported but never read: {unread}"
 
 
-# Public functions that only the tests call, each kept for the reason given.
-ORACLES = (
-    ("geometry.psi", "the paper's psi(z, x), checked against the pairing "
-                     "with embed_u(z)"),
-    ("geometry.majorant_R", "R(x, z) at one vector: the box-scan oracle's "
-                            "filter and the acceptance majorant suite"),
-    ("geometry.humbert_discriminant", "4 q(x) in exact Fractions, the oracle "
-                                      "of the lattice's qhat"),
-    ("lattice.orbit_representative", "a primitive vector with qhat = 4m, the "
-                                     "log-singularity criterion's start"),
-    ("specfun.beta_s", "E1 = beta_1 by quadrature, the independent route of "
-                       "exp_e1"),
-)
-
-
-def test_every_exported_function_is_read_or_an_oracle():
-    # a public function that only the tests call belongs in the tests,
-    # unless it is a named oracle
-    unread = {name for name, value in _exports_not_read() if callable(value)}
-    oracles = {name for name, _ in ORACLES}
-    assert not unread - oracles, f"read only by the tests: {unread - oracles}"
-    assert not oracles - unread, f"read by the library: {oracles - unread}"
+def test_every_exported_function_is_read():
+    # a public function that only the tests call belongs in the tests
+    # (tests/oracles.py holds the independent routes they check against)
+    unread = [name for name, value in _exports_not_read() if callable(value)]
+    assert not unread, f"read only by the tests: {unread}"
 
 
 def test_readme_library_example_runs():
